@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from itertools import pairwise
 
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
 from .errors import IntegrityError, ValidationError
@@ -43,20 +44,6 @@ RULE_NO_HORIZONTAL = "env.no-horizontal"
 RULE_NO_SERVER_OVERBOOKING = "env.no-server-overbooking"
 RULE_NO_NETWORK_OVERBOOKING = "env.no-network-overbooking"
 RULE_OVERBOOKING_BOUND = "env.overbooking-bound"
-
-STRUCTURAL_RULES = frozenset(
-    {
-        RULE_DENSE_SAMPLING,
-        RULE_LIFETIME,
-        RULE_DUPLICATE_SAMPLE,
-        RULE_UNKNOWN_VM,
-        RULE_HORIZON,
-        RULE_SLA_RANGE,
-        RULE_DC_RANGE,
-        RULE_EVENT_CONSISTENCY,
-    }
-)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -339,15 +326,26 @@ def _samples_by_vm(trace: Trace) -> dict[tuple[int, int, int], list[VmSample]]:
     return grouped
 
 
+def spec_changed(prev: VmSample, cur: VmSample) -> bool:
+    """Vertical dynamics: ``cur`` follows ``prev`` in one VM's tick-ordered
+    series, at the next tick, with a different spec."""
+    return cur.t == prev.t + 1 and cur.spec != prev.spec
+
+
+def server_gap(sample: VmSample) -> bool:
+    """Server overbooking: CPU or memory utilization differs from the request."""
+    return sample.util.ucpu != sample.spec.vcpu or sample.util.uram != sample.spec.vram
+
+
+def network_gap(sample: VmSample) -> bool:
+    """Network overbooking: bandwidth utilization differs from the request."""
+    return sample.util.unet != sample.spec.vnet
+
+
 def _spec_changes(trace: Trace) -> list[VmSample]:
     """Samples at which a VM's spec differs from its previous alive tick."""
-    changes = []
-    for key in sorted(grouped := _samples_by_vm(trace)):
-        series = grouped[key]
-        for prev, cur in zip(series, series[1:]):
-            if cur.t == prev.t + 1 and cur.spec != prev.spec:
-                changes.append(cur)
-    return changes
+    grouped = _samples_by_vm(trace)
+    return [cur for key in sorted(grouped) for prev, cur in pairwise(grouped[key]) if spec_changed(prev, cur)]
 
 
 def _membership_changes(trace: Trace) -> list[tuple[int, tuple[int, int, int], str]]:
@@ -396,55 +394,50 @@ def _conformance_violations(trace: Trace, caps: Capabilities, mode: str) -> list
                 )
             )
 
+    # one pass over the samples; violations stay grouped by rule
     check_server_equality = not caps.server_overbooking and not (mode == MODE_PAPER and caps.vertical)
-    if check_server_equality:
-        for sample in trace.samples:
+    bound_server = mode == MODE_STRICT and caps.server_overbooking
+    bound_network = mode == MODE_STRICT and caps.network_overbooking
+    server_out: list[Violation] = []
+    network_out: list[Violation] = []
+    bound_out: list[Violation] = []
+    for sample in trace.samples:
+        spec, util = sample.spec, sample.util
+        if check_server_equality and server_gap(sample):
             mismatches = []
-            if sample.util.ucpu != sample.spec.vcpu:
-                mismatches.append(f"ucpu {quantity_text(sample.util.ucpu)} != vcpu {quantity_text(sample.spec.vcpu)}")
-            if sample.util.uram != sample.spec.vram:
-                mismatches.append(f"uram {quantity_text(sample.util.uram)} != vram {quantity_text(sample.spec.vram)}")
-            if mismatches:
-                out.append(
-                    _vm_violation(
-                        RULE_NO_SERVER_OVERBOOKING,
-                        "server utilization must equal the request without server overbooking: " + ", ".join(mismatches),
-                        sample,
-                    )
+            if util.ucpu != spec.vcpu:
+                mismatches.append(f"ucpu {quantity_text(util.ucpu)} != vcpu {quantity_text(spec.vcpu)}")
+            if util.uram != spec.vram:
+                mismatches.append(f"uram {quantity_text(util.uram)} != vram {quantity_text(spec.vram)}")
+            server_out.append(
+                _vm_violation(
+                    RULE_NO_SERVER_OVERBOOKING,
+                    "server utilization must equal the request without server overbooking: " + ", ".join(mismatches),
+                    sample,
                 )
-
-    if not caps.network_overbooking:
-        for sample in trace.samples:
-            if sample.util.unet != sample.spec.vnet:
-                out.append(
-                    _vm_violation(
-                        RULE_NO_NETWORK_OVERBOOKING,
-                        f"network utilization must equal the request without network overbooking: "
-                        f"unet {quantity_text(sample.util.unet)} != vnet {quantity_text(sample.spec.vnet)}",
-                        sample,
-                    )
+            )
+        if not caps.network_overbooking and network_gap(sample):
+            network_out.append(
+                _vm_violation(
+                    RULE_NO_NETWORK_OVERBOOKING,
+                    f"network utilization must equal the request without network overbooking: "
+                    f"unet {quantity_text(util.unet)} != vnet {quantity_text(spec.vnet)}",
+                    sample,
                 )
-
-    if mode == MODE_STRICT:
-        for sample in trace.samples:
-            excesses = []
-            if caps.server_overbooking:
-                if sample.util.ucpu > sample.spec.vcpu:
-                    excesses.append(f"ucpu {quantity_text(sample.util.ucpu)} > vcpu {quantity_text(sample.spec.vcpu)}")
-                if sample.util.uram > sample.spec.vram:
-                    excesses.append(f"uram {quantity_text(sample.util.uram)} > vram {quantity_text(sample.spec.vram)}")
-            if caps.network_overbooking and sample.util.unet > sample.spec.vnet:
-                excesses.append(f"unet {quantity_text(sample.util.unet)} > vnet {quantity_text(sample.spec.vnet)}")
-            if excesses:
-                out.append(
-                    _vm_violation(
-                        RULE_OVERBOOKING_BOUND,
-                        "utilization exceeds the request: " + ", ".join(excesses),
-                        sample,
-                    )
-                )
-
-    return out
+            )
+        excesses = []
+        if bound_server:
+            if util.ucpu > spec.vcpu:
+                excesses.append(f"ucpu {quantity_text(util.ucpu)} > vcpu {quantity_text(spec.vcpu)}")
+            if util.uram > spec.vram:
+                excesses.append(f"uram {quantity_text(util.uram)} > vram {quantity_text(spec.vram)}")
+        if bound_network and util.unet > spec.vnet:
+            excesses.append(f"unet {quantity_text(util.unet)} > vnet {quantity_text(spec.vnet)}")
+        if excesses:
+            bound_out.append(
+                _vm_violation(RULE_OVERBOOKING_BOUND, "utilization exceeds the request: " + ", ".join(excesses), sample)
+            )
+    return out + server_out + network_out + bound_out
 
 
 def validate(trace: Trace, mode: str = MODE_STRICT, declared: EnvironmentId | None = None) -> ValidationReport:
@@ -489,11 +482,8 @@ def classify(trace: Trace, *, arrival_as_horizontal: bool = False) -> Environmen
             ):
                 horizontal = True
                 break
-    server = any(
-        sample.util.ucpu != sample.spec.vcpu or sample.util.uram != sample.spec.vram
-        for sample in trace.samples
-    )
-    network = any(sample.util.unet != sample.spec.vnet for sample in trace.samples)
+    server = any(server_gap(sample) for sample in trace.samples)
+    network = any(network_gap(sample) for sample in trace.samples)
     return env_from_capabilities(
         Capabilities(
             horizontal=horizontal,

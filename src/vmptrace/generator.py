@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
+from itertools import pairwise
 
+from .analysis import network_gap, server_gap, spec_changed
 from .environments import EnvironmentId, capabilities, env_from_coords
 from .errors import ConfigError, ValidationError
 from .model import (
@@ -42,6 +45,7 @@ from .model import (
     UtilizationSample,
     VmDescriptor,
     VmSample,
+    full_utilization,
 )
 from .rng import SplitMix64, derive_stream
 
@@ -190,8 +194,8 @@ def check_config(config: GeneratorConfig) -> None:
 
     arrival = config.arrival
     if config.arrival.burst:
-        if not isinstance(arrival.rate, (int, float)) or isinstance(arrival.rate, bool) or arrival.rate < 0:
-            raise ConfigError(f"arrival.rate must be >= 0, got {arrival.rate!r}")
+        if not isinstance(arrival.rate, (int, float)) or isinstance(arrival.rate, bool) or not 0 <= arrival.rate < math.inf:
+            raise ConfigError(f"arrival.rate must be a finite number >= 0, got {arrival.rate!r}")
     else:
         _check_probability("arrival.rate", arrival.rate)
 
@@ -363,13 +367,15 @@ def _walk(
 @dataclass(frozen=True)
 class ServiceTemplate:
     """One service's membership skeleton: lifetime and initial descriptors,
-    plus the initial spec drawn for each descriptor."""
+    plus the initial spec drawn for each descriptor and the descriptor's spec
+    stream, positioned just past its constants."""
 
     service_id: int
     t_init: int
     t_end: int
     descriptors: tuple[VmDescriptor, ...]
     initial_specs: dict[tuple[int, int, int], ResourceSpec]
+    spec_streams: dict[tuple[int, int, int], SplitMix64] = field(compare=False, repr=False)
 
 
 def _vm_constants(
@@ -416,6 +422,7 @@ def sample_service(
     horizontal = capabilities(config.environment).horizontal
     descriptors: list[VmDescriptor] = []
     initial_specs: dict[tuple[int, int, int], ResourceSpec] = {}
+    spec_streams: dict[tuple[int, int, int], SplitMix64] = {}
     for dc_id in range(1, config.num_datacenters + 1):
         count = rng.randint(config.service_shape.vms_per_dc[0], config.service_shape.vms_per_dc[1])
         if horizontal:
@@ -423,7 +430,7 @@ def sample_service(
         for _ in range(count):
             vm_index = next_vm_index.setdefault(dc_id, 1)
             next_vm_index[dc_id] = vm_index + 1
-            _, spec, revenue, sla = _vm_constants(config, service_id, dc_id, vm_index)
+            stream, spec, revenue, sla = _vm_constants(config, service_id, dc_id, vm_index)
             descriptors.append(
                 VmDescriptor(
                     service_id=service_id,
@@ -436,20 +443,27 @@ def sample_service(
                 )
             )
             initial_specs[(service_id, dc_id, vm_index)] = spec
+            spec_streams[(service_id, dc_id, vm_index)] = stream
     return ServiceTemplate(
         service_id=service_id,
         t_init=t,
         t_end=t_end,
         descriptors=tuple(descriptors),
         initial_specs=initial_specs,
+        spec_streams=spec_streams,
     )
 
 
 @dataclass
 class _VmRecord:
+    """A VM being generated: its descriptor, its spec stream positioned past
+    the constants, its initial spec, and, once filled, one sample per alive
+    tick in tick order."""
+
     descriptor: VmDescriptor
-    specs: dict[int, ResourceSpec] = field(default_factory=dict)
-    utils: dict[int, UtilizationSample] = field(default_factory=dict)
+    spec_stream: SplitMix64
+    spec: ResourceSpec
+    samples: list[VmSample] = field(default_factory=list)
 
 
 @dataclass
@@ -517,7 +531,7 @@ def generate(config: GeneratorConfig) -> Trace:
             _ServiceState(service_id, template.t_init, template.t_end, list(template.descriptors))
         )
         for desc in template.descriptors:
-            records[desc.key] = _VmRecord(desc)
+            records[desc.key] = _VmRecord(desc, template.spec_streams[desc.key], template.initial_specs[desc.key])
         events.append(TraceEvent(t=t0, kind=EventKind.SERVICE_ARRIVAL, service_id=service_id))
         events.append(TraceEvent(t=template.t_end, kind=EventKind.SERVICE_DEPARTURE, service_id=service_id))
 
@@ -535,25 +549,24 @@ def generate(config: GeneratorConfig) -> Trace:
                         _scale_out(config, svc, dc_id, t, next_vm_index, active, records, events)
                     else:
                         _scale_in(svc, dc_id, t, active, records, events)
+        if config.guarantee_dynamics and not any(e.kind.is_scale for e in events):
+            # no scale action was drawn: scale the first service once in
+            # datacenter 1 at its second tick
+            svc = services[0]
+            active = {1: [d for d in svc.members if d.dc_id == 1 and d.t_end == svc.t_end]}
+            if len(active[1]) < config.horizontal_policy.max_vms:
+                _scale_out(config, svc, 1, svc.t_init + 1, next_vm_index, active, records, events)
+            else:
+                _scale_in(svc, 1, svc.t_init + 1, active, records, events)
 
     # per-VM series
-    _fill_series(config, caps, records)
+    for record in records.values():
+        _fill_series(config, caps, record)
 
     if config.guarantee_dynamics:
-        _inject_missing_dynamics(config, caps, services, next_vm_index, records, events)
+        _inject_missing_dynamics(caps, records)
 
-    samples = [
-        VmSample(
-            service_id=key[0],
-            dc_id=key[1],
-            vm_index=key[2],
-            t=t,
-            spec=record.specs[t],
-            util=record.utils[t],
-        )
-        for key, record in records.items()
-        for t in range(record.descriptor.t_init, record.descriptor.t_end)
-    ]
+    samples = [sample for record in records.values() for sample in record.samples]
     samples.sort(key=lambda s: s.sort_key)
     events.sort(key=lambda e: e.sort_key)
     descriptors = sorted((record.descriptor for record in records.values()), key=lambda d: d.key)
@@ -577,10 +590,10 @@ def _scale_out(
     active: dict[int, list[VmDescriptor]],
     records: dict[tuple[int, int, int], _VmRecord],
     events: list[TraceEvent],
-) -> VmDescriptor:
+) -> None:
     vm_index = next_vm_index[dc_id]
     next_vm_index[dc_id] = vm_index + 1
-    _, _, revenue, sla = _vm_constants(config, svc.service_id, dc_id, vm_index)
+    stream, spec, revenue, sla = _vm_constants(config, svc.service_id, dc_id, vm_index)
     desc = VmDescriptor(
         service_id=svc.service_id,
         dc_id=dc_id,
@@ -592,11 +605,10 @@ def _scale_out(
     )
     active[dc_id].append(desc)
     svc.members.append(desc)
-    records[desc.key] = _VmRecord(desc)
+    records[desc.key] = _VmRecord(desc, stream, spec)
     events.append(
         TraceEvent(t=t, kind=EventKind.VM_SCALE_OUT, service_id=svc.service_id, dc_id=dc_id, vm_index=vm_index)
     )
-    return desc
 
 
 def _scale_in(
@@ -606,190 +618,109 @@ def _scale_in(
     active: dict[int, list[VmDescriptor]],
     records: dict[tuple[int, int, int], _VmRecord],
     events: list[TraceEvent],
-) -> VmDescriptor:
+) -> None:
     # highest alive index in the chosen datacenter; scale actions fire at
     # most once per tick, so every candidate was born before t
     victim = max(active[dc_id], key=lambda d: d.vm_index)
     active[dc_id].remove(victim)
     truncated = replace(victim, t_end=t)
     svc.members[svc.members.index(victim)] = truncated
-    records[victim.key] = _VmRecord(truncated)
+    records[victim.key].descriptor = truncated
     events.append(
         TraceEvent(t=t, kind=EventKind.VM_SCALE_IN, service_id=svc.service_id, dc_id=dc_id, vm_index=victim.vm_index)
     )
-    return truncated
 
 
-def _fill_series(config: GeneratorConfig, caps, records: dict[tuple[int, int, int], _VmRecord]) -> None:
-    for key in sorted(records):
-        record = records[key]
-        desc = record.descriptor
-        spec_stream, spec, _, _ = _vm_constants(config, *key)
-        record.specs = {desc.t_init: spec}
-        for t in range(desc.t_init + 1, desc.t_end):
-            if caps.vertical:
-                spec = evolve_vertical(spec_stream, spec, config.vertical_policy)
-            record.specs[t] = spec
-        util_stream = derive_stream(config.seed, STREAM_VM_UTILIZATION, *key)
-        first = record.specs[desc.t_init]
-        util = UtilizationSample(ucpu=first.vcpu, uram=first.vram, unet=first.vnet)
-        record.utils = {desc.t_init: util}
-        for t in range(desc.t_init + 1, desc.t_end):
-            util = evolve_utilization(
-                util_stream,
-                util,
-                record.specs[t],
-                config.utilization_policy,
-                server=caps.server_overbooking,
-                network=caps.network_overbooking,
-            )
-            record.utils[t] = util
+def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
+    desc = record.descriptor
+    util_stream = derive_stream(config.seed, STREAM_VM_UTILIZATION, *desc.key)
+    spec = record.spec
+    util = full_utilization(spec)
+    record.samples = [VmSample(*desc.key, t=desc.t_init, spec=spec, util=util)]
+    for t in range(desc.t_init + 1, desc.t_end):
+        if caps.vertical:
+            spec = evolve_vertical(record.spec_stream, spec, config.vertical_policy)
+        util = evolve_utilization(
+            util_stream,
+            util,
+            spec,
+            config.utilization_policy,
+            server=caps.server_overbooking,
+            network=caps.network_overbooking,
+        )
+        record.samples.append(VmSample(*desc.key, t=t, spec=spec, util=util))
 
 
-def _spec_change_observed(records: dict[tuple[int, int, int], _VmRecord]) -> bool:
-    for record in records.values():
-        desc = record.descriptor
-        for t in range(desc.t_init + 1, desc.t_end):
-            if record.specs[t] != record.specs[t - 1]:
-                return True
-    return False
-
-
-def _server_gap_observed(records: dict[tuple[int, int, int], _VmRecord]) -> bool:
-    return any(
-        record.utils[t].ucpu != record.specs[t].vcpu or record.utils[t].uram != record.specs[t].vram
-        for record in records.values()
-        for t in record.specs
-    )
-
-
-def _network_gap_observed(records: dict[tuple[int, int, int], _VmRecord]) -> bool:
-    return any(
-        record.utils[t].unet != record.specs[t].vnet
-        for record in records.values()
-        for t in record.specs
-    )
-
-
-def _inject_missing_dynamics(
-    config: GeneratorConfig,
-    caps,
-    services: list[_ServiceState],
-    next_vm_index: dict[int, int],
-    records: dict[tuple[int, int, int], _VmRecord],
-    events: list[TraceEvent],
-) -> None:
-    """Make every enabled capability observable, adding one deterministic
-    instance per capability whose stochastic draws produced none."""
-    if caps.horizontal and not any(e.kind.is_scale for e in events):
-        svc = services[0]
-        t = svc.t_init + 1
-        dc_id = 1
-        active = {dc_id: [d for d in svc.members if d.dc_id == dc_id and d.t_end == svc.t_end]}
-        if len(active[dc_id]) < config.horizontal_policy.max_vms:
-            desc = _scale_out(config, svc, dc_id, t, next_vm_index, active, records, events)
-        else:
-            desc = _scale_in(svc, dc_id, t, active, records, events)
-        _fill_one_series(config, caps, records[desc.key])
-
-    if caps.vertical and not _spec_change_observed(records):
-        host = None
-        for key in sorted(records):
-            candidate = records[key]
-            if candidate.descriptor.t_end - candidate.descriptor.t_init >= 2:
-                host = candidate
-                break
+def _inject_missing_dynamics(caps, records: dict[tuple[int, int, int], _VmRecord]) -> None:
+    """Make every enabled capability observable in the filled series, adding
+    one deterministic instance per capability whose draws produced none.
+    The checks run in turn: a vertical bump can itself open a server gap."""
+    if caps.vertical and not any(
+        spec_changed(prev, cur) for record in records.values() for prev, cur in pairwise(record.samples)
+    ):
+        host = next((records[key] for key in sorted(records) if len(records[key].samples) >= 2), None)
         if host is None:
             raise ConfigError(
                 "guarantee_dynamics: no VM lives two consecutive ticks to host a resize"
             )
-        desc = host.descriptor
-        for t in range(desc.t_init + 1, desc.t_end):
-            spec = host.specs[t]
+        for i, sample in enumerate(host.samples[1:], start=1):
+            spec, util = sample.spec, sample.util
             bumped = ResourceSpec(vcpu=spec.vcpu + 1, vram=spec.vram, vnet=spec.vnet)
-            host.specs[t] = bumped
-            util = host.utils[t]
-            host.utils[t] = UtilizationSample(
-                ucpu=util.ucpu if caps.server_overbooking else bumped.vcpu,
-                uram=util.uram if caps.server_overbooking else bumped.vram,
-                unet=util.unet if caps.network_overbooking else bumped.vnet,
+            host.samples[i] = replace(
+                sample,
+                spec=bumped,
+                util=UtilizationSample(
+                    ucpu=util.ucpu if caps.server_overbooking else bumped.vcpu,
+                    uram=util.uram if caps.server_overbooking else bumped.vram,
+                    unet=util.unet if caps.network_overbooking else bumped.vnet,
+                ),
             )
 
-    if caps.server_overbooking and not _server_gap_observed(records):
+    if caps.server_overbooking and not any(server_gap(s) for r in records.values() for s in r.samples):
         _inject_usage_gap(records, "server")
-    if caps.network_overbooking and not _network_gap_observed(records):
+    if caps.network_overbooking and not any(network_gap(s) for r in records.values() for s in r.samples):
         _inject_usage_gap(records, "network")
 
 
 def _inject_usage_gap(records: dict[tuple[int, int, int], _VmRecord], kind: str) -> None:
     for key in sorted(records):
         record = records[key]
-        t = record.descriptor.t_end - 1
-        spec = record.specs[t]
-        util = record.utils[t]
-        if kind == "server":
-            if spec.vcpu >= 1:
-                record.utils[t] = UtilizationSample(spec.vcpu - 1, util.uram, util.unet)
-                return
-            if spec.vram >= 1:
-                record.utils[t] = UtilizationSample(util.ucpu, spec.vram - 1, util.unet)
-                return
+        last = record.samples[-1]
+        spec, util = last.spec, last.util
+        if kind == "server" and spec.vcpu >= 1:
+            gap = UtilizationSample(spec.vcpu - 1, util.uram, util.unet)
+        elif kind == "server" and spec.vram >= 1:
+            gap = UtilizationSample(util.ucpu, spec.vram - 1, util.unet)
+        elif kind == "network" and spec.vnet >= 1:
+            gap = UtilizationSample(util.ucpu, util.uram, spec.vnet - 1)
         else:
-            if spec.vnet >= 1:
-                record.utils[t] = UtilizationSample(util.ucpu, util.uram, spec.vnet - 1)
-                return
+            continue
+        record.samples[-1] = replace(last, util=gap)
+        return
     raise ConfigError(
         f"guarantee_dynamics: no VM has a positive request to host a {kind} overbooking instance"
     )
 
 
-def _fill_one_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
-    singleton = {record.descriptor.key: record}
-    _fill_series(config, caps, singleton)
-
-
 def config_to_dict(config: GeneratorConfig) -> dict:
     """Plain-JSON form of a configuration; the inverse of config_from_dict."""
-    return {
-        "environment": [config.environment.elasticity, config.environment.overbooking],
-        "horizon": config.horizon,
-        "num_datacenters": config.num_datacenters,
-        "seed": config.seed,
-        "arrival": {
-            "rate": config.arrival.rate,
-            "force_first": config.arrival.force_first,
-            "burst": config.arrival.burst,
-        },
-        "service_shape": {
-            "vms_per_dc": list(config.service_shape.vms_per_dc),
-            "lifetime": list(config.service_shape.lifetime),
-        },
-        "sizing": {
-            "vcpu": list(config.sizing.vcpu),
-            "vram": list(config.sizing.vram),
-            "vnet": list(config.sizing.vnet),
-            "revenue": list(config.sizing.revenue),
-            "sla": list(config.sizing.sla),
-        },
-        "vertical_policy": {
-            "p_step": config.vertical_policy.p_step,
-            "magnitude": list(config.vertical_policy.magnitude),
-            "vary_net": config.vertical_policy.vary_net,
-            "precision": config.vertical_policy.precision,
-        },
-        "horizontal_policy": {
-            "p_scale": config.horizontal_policy.p_scale,
-            "min_vms": config.horizontal_policy.min_vms,
-            "max_vms": config.horizontal_policy.max_vms,
-        },
-        "utilization_policy": {
-            "cpu_step": list(config.utilization_policy.cpu_step),
-            "ram_step": list(config.utilization_policy.ram_step),
-            "net_step": list(config.utilization_policy.net_step),
-            "allow_exceed_request": config.utilization_policy.allow_exceed_request,
-        },
-        "guarantee_dynamics": config.guarantee_dynamics,
-    }
+    return _to_plain(config)
+
+
+def _to_plain(obj) -> dict:
+    # sections are the fields with a default factory, [lo, hi] pairs the
+    # ones with a tuple default; every other value passes through untouched
+    plain = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "environment":
+            value = [value.elasticity, value.overbooking]
+        elif f.default_factory is not MISSING:
+            value = _to_plain(value)
+        elif isinstance(f.default, tuple):
+            value = list(value)
+        plain[f.name] = value
+    return plain
 
 
 def config_digest(config: GeneratorConfig) -> str:
@@ -807,8 +738,8 @@ def _take_section(data: dict, key: str) -> dict:
     return section
 
 
-def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(section) - set(known))
+def _reject_unknown(section: dict, cls, where: str) -> None:
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
@@ -822,6 +753,23 @@ def _get_pair(section: dict, key: str, default: tuple, where: str) -> tuple:
     return tuple(value)
 
 
+def _from_plain(cls, data: dict, where: str, **given):
+    """Build ``cls`` from its checked JSON form: an absent or null pair or
+    section takes the default, an absent scalar takes the default and any
+    other scalar passes through untouched (check_config judges it)."""
+    values = {}
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.default_factory is not MISSING:
+            values[f.name] = _from_plain(f.default_factory, data[f.name], f.name)
+        elif isinstance(f.default, tuple):
+            values[f.name] = _get_pair(data, f.name, f.default, where)
+        else:
+            values[f.name] = data.get(f.name, f.default)
+    return cls(**given, **values)
+
+
 def config_from_dict(data: dict) -> GeneratorConfig:
     """Build a configuration from its JSON form.
 
@@ -830,15 +778,7 @@ def config_from_dict(data: dict) -> GeneratorConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config document must be an object, got {data!r}")
-    _reject_unknown(
-        data,
-        (
-            "environment", "horizon", "num_datacenters", "seed", "arrival",
-            "service_shape", "sizing", "vertical_policy", "horizontal_policy",
-            "utilization_policy", "guarantee_dynamics",
-        ),
-        "config",
-    )
+    _reject_unknown(data, GeneratorConfig, "config")
     env_value = data.get("environment")
     if env_value is None:
         raise ConfigError("config is missing required key 'environment'")
@@ -849,59 +789,12 @@ def config_from_dict(data: dict) -> GeneratorConfig:
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
 
-    arrival_data = _take_section(data, "arrival")
-    _reject_unknown(arrival_data, ("rate", "force_first", "burst"), "arrival")
-    shape_data = _take_section(data, "service_shape")
-    _reject_unknown(shape_data, ("vms_per_dc", "lifetime"), "service_shape")
-    sizing_data = _take_section(data, "sizing")
-    _reject_unknown(sizing_data, ("vcpu", "vram", "vnet", "revenue", "sla"), "sizing")
-    vertical_data = _take_section(data, "vertical_policy")
-    _reject_unknown(vertical_data, ("p_step", "magnitude", "vary_net", "precision"), "vertical_policy")
-    horizontal_data = _take_section(data, "horizontal_policy")
-    _reject_unknown(horizontal_data, ("p_scale", "min_vms", "max_vms"), "horizontal_policy")
-    util_data = _take_section(data, "utilization_policy")
-    _reject_unknown(util_data, ("cpu_step", "ram_step", "net_step", "allow_exceed_request"), "utilization_policy")
-
-    defaults = GeneratorConfig(environment=environment)
-    config = GeneratorConfig(
-        environment=environment,
-        horizon=data.get("horizon", defaults.horizon),
-        num_datacenters=data.get("num_datacenters", defaults.num_datacenters),
-        seed=data.get("seed", defaults.seed),
-        arrival=ArrivalModel(
-            rate=arrival_data.get("rate", defaults.arrival.rate),
-            force_first=arrival_data.get("force_first", defaults.arrival.force_first),
-            burst=arrival_data.get("burst", defaults.arrival.burst),
-        ),
-        service_shape=ServiceShape(
-            vms_per_dc=_get_pair(shape_data, "vms_per_dc", defaults.service_shape.vms_per_dc, "service_shape"),
-            lifetime=_get_pair(shape_data, "lifetime", defaults.service_shape.lifetime, "service_shape"),
-        ),
-        sizing=SizingRanges(
-            vcpu=_get_pair(sizing_data, "vcpu", defaults.sizing.vcpu, "sizing"),
-            vram=_get_pair(sizing_data, "vram", defaults.sizing.vram, "sizing"),
-            vnet=_get_pair(sizing_data, "vnet", defaults.sizing.vnet, "sizing"),
-            revenue=_get_pair(sizing_data, "revenue", defaults.sizing.revenue, "sizing"),
-            sla=_get_pair(sizing_data, "sla", defaults.sizing.sla, "sizing"),
-        ),
-        vertical_policy=VerticalPolicy(
-            p_step=vertical_data.get("p_step", defaults.vertical_policy.p_step),
-            magnitude=_get_pair(vertical_data, "magnitude", defaults.vertical_policy.magnitude, "vertical_policy"),
-            vary_net=vertical_data.get("vary_net", defaults.vertical_policy.vary_net),
-            precision=vertical_data.get("precision", defaults.vertical_policy.precision),
-        ),
-        horizontal_policy=HorizontalPolicy(
-            p_scale=horizontal_data.get("p_scale", defaults.horizontal_policy.p_scale),
-            min_vms=horizontal_data.get("min_vms", defaults.horizontal_policy.min_vms),
-            max_vms=horizontal_data.get("max_vms", defaults.horizontal_policy.max_vms),
-        ),
-        utilization_policy=UtilizationPolicy(
-            cpu_step=_get_pair(util_data, "cpu_step", defaults.utilization_policy.cpu_step, "utilization_policy"),
-            ram_step=_get_pair(util_data, "ram_step", defaults.utilization_policy.ram_step, "utilization_policy"),
-            net_step=_get_pair(util_data, "net_step", defaults.utilization_policy.net_step, "utilization_policy"),
-            allow_exceed_request=util_data.get("allow_exceed_request", defaults.utilization_policy.allow_exceed_request),
-        ),
-        guarantee_dynamics=data.get("guarantee_dynamics", defaults.guarantee_dynamics),
-    )
+    # every section is checked for shape and unknown keys before any value
+    sections = {}
+    for f in fields(GeneratorConfig):
+        if f.default_factory is not MISSING:
+            sections[f.name] = _take_section(data, f.name)
+            _reject_unknown(sections[f.name], f.default_factory, f.name)
+    config = _from_plain(GeneratorConfig, {**data, **sections}, "config", environment=environment)
     check_config(config)
     return config

@@ -24,6 +24,9 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
+# largest Poisson mean drawn in one multiplication-method run; exp(-500)
+# is still a normal float
+POISSON_CHUNK = 500.0
 
 
 def _mix(state: int) -> int:
@@ -78,15 +81,23 @@ class SplitMix64:
         return items[self.randint(0, len(items) - 1)]
 
     def poisson(self, lam: float) -> int:
-        """Poisson-distributed count (multiplication method; fine for small lam)."""
-        if lam <= 0.0:
-            return 0
-        threshold = math.exp(-lam)
+        """Poisson-distributed count for a finite mean ``lam``.
+
+        The multiplication method compares against exp(-lam), which underflows
+        once lam passes about 745, so lam is split into chunks of at most
+        POISSON_CHUNK and one draw per chunk is summed: a sum of independent
+        Poisson counts is Poisson with the summed mean (Knuth, TAOCP vol. 2,
+        3.4.1). A mean up to POISSON_CHUNK is a single chunk.
+        """
         count = 0
-        product = self.next_float()
-        while product > threshold:
-            count += 1
-            product *= self.next_float()
+        while lam > 0.0:
+            chunk = min(lam, POISSON_CHUNK)
+            lam -= chunk
+            threshold = math.exp(-chunk)
+            product = self.next_float()
+            while product > threshold:
+                count += 1
+                product *= self.next_float()
         return count
 
 

@@ -39,8 +39,9 @@ FILE_EXTENSION = ".vmpt.jsonl"
 CSV_COLUMNS = ("t", "service", "dc", "vm", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "revenue", "sla")
 
 _HEADER_KEYS = ("type", "format_version", "environment", "horizon", "num_datacenters", "sla_levels", "seed", "config_digest")
-_EVENT_KEYS = ("type", "t", "kind", "service", "dc", "vm")
-_SAMPLE_KEYS = ("type", "t", "service", "dc", "vm", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "revenue", "sla")
+_SAMPLE_KEYS = ("type", *CSV_COLUMNS)
+# a sample line is the CSV row's fields, each a JSON number, under their keys
+_SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name in CSV_COLUMNS)]) + "}}"
 
 
 def canonicalize(trace: Trace) -> Trace:
@@ -82,37 +83,37 @@ def _event_line(event: TraceEvent) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _sample_line(sample: VmSample, descriptor: VmDescriptor) -> str:
-    spec, util = sample.spec, sample.util
-    parts = [
-        '"type":"sample"',
-        f'"t":{sample.t}',
-        f'"service":{sample.service_id}',
-        f'"dc":{sample.dc_id}',
-        f'"vm":{sample.vm_index}',
-        f'"vcpu":{quantity_text(spec.vcpu)}',
-        f'"vram":{quantity_text(spec.vram)}',
-        f'"vnet":{quantity_text(spec.vnet)}',
-        f'"ucpu":{quantity_text(util.ucpu)}',
-        f'"uram":{quantity_text(util.uram)}',
-        f'"unet":{quantity_text(util.unet)}',
-        f'"revenue":{quantity_text(descriptor.revenue)}',
-        f'"sla":{descriptor.sla}',
-    ]
-    return "{" + ",".join(parts) + "}"
+def _sample_rows(trace: Trace):
+    """Each sample's fields rendered as text, in CSV_COLUMNS order; revenue
+    and SLA level come from the sample's descriptor."""
+    by_key = trace.descriptor_map()
+    for sample in trace.samples:
+        descriptor = by_key.get(sample.vm_key)
+        if descriptor is None:
+            raise ValidationError(f"sample references unknown VM {sample.vm_key}")
+        spec, util = sample.spec, sample.util
+        yield (
+            str(sample.t),
+            str(sample.service_id),
+            str(sample.dc_id),
+            str(sample.vm_index),
+            quantity_text(spec.vcpu),
+            quantity_text(spec.vram),
+            quantity_text(spec.vnet),
+            quantity_text(util.ucpu),
+            quantity_text(util.uram),
+            quantity_text(util.unet),
+            quantity_text(descriptor.revenue),
+            str(descriptor.sla),
+        )
 
 
 def trace_to_lines(trace: Trace) -> list[str]:
     """Canonical document lines, without line terminators."""
     canonical = canonicalize(trace)
-    by_key = canonical.descriptor_map()
     lines = [_header_line(canonical.header)]
     lines.extend(_event_line(event) for event in canonical.events)
-    for sample in canonical.samples:
-        descriptor = by_key.get(sample.vm_key)
-        if descriptor is None:
-            raise ValidationError(f"sample references unknown VM {sample.vm_key}")
-        lines.append(_sample_line(sample, descriptor))
+    lines.extend(_SAMPLE_LINE.format(*row) for row in _sample_rows(canonical))
     return lines
 
 
@@ -386,31 +387,8 @@ def read_trace_file(path) -> Trace:
 def trace_to_csv_text(trace: Trace) -> str:
     """Lossy spreadsheet export: canonical sample rows only, no header or
     event information."""
-    canonical = canonicalize(trace)
-    by_key = canonical.descriptor_map()
     rows = [",".join(CSV_COLUMNS)]
-    for sample in canonical.samples:
-        descriptor = by_key.get(sample.vm_key)
-        if descriptor is None:
-            raise ValidationError(f"sample references unknown VM {sample.vm_key}")
-        rows.append(
-            ",".join(
-                (
-                    str(sample.t),
-                    str(sample.service_id),
-                    str(sample.dc_id),
-                    str(sample.vm_index),
-                    quantity_text(sample.spec.vcpu),
-                    quantity_text(sample.spec.vram),
-                    quantity_text(sample.spec.vnet),
-                    quantity_text(sample.util.ucpu),
-                    quantity_text(sample.util.uram),
-                    quantity_text(sample.util.unet),
-                    quantity_text(descriptor.revenue),
-                    str(descriptor.sla),
-                )
-            )
-        )
+    rows.extend(",".join(row) for row in _sample_rows(canonicalize(trace)))
     return "\n".join(rows) + "\n"
 
 

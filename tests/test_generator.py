@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,9 @@ def test_config_checks_reject_bad_fields():
         dict(seed=2**64),
         dict(arrival=ArrivalModel(rate=-0.1)),
         dict(arrival=ArrivalModel(rate=1.2)),
+        # a burst mean is drawn in chunks, so an infinite one would never finish
+        dict(arrival=ArrivalModel(rate=float("inf"), burst=True)),
+        dict(arrival=ArrivalModel(rate=float("nan"), burst=True)),
         dict(service_shape=ServiceShape(lifetime=(0, 2))),
         dict(service_shape=ServiceShape(lifetime=(5, 2))),
         dict(service_shape=ServiceShape(vms_per_dc=(0, 1))),
@@ -474,3 +479,13 @@ def test_config_digest_is_stable_and_content_sensitive():
     assert int(digest, 16) >= 0
     assert config_digest(config) == digest
     assert config_digest(dataclasses.replace(config, seed=5)) != digest
+
+
+def test_readme_config_block_is_the_serialized_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration file\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    config = GeneratorConfig(env_from_coords(3, 3))
+    assert documented == config_to_dict(config)
+    assert config_from_dict(documented) == config

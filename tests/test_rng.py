@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from vmptrace.rng import SplitMix64, derive_stream
 
 
@@ -111,3 +113,22 @@ def test_poisson_mean_is_close_to_the_rate():
 def test_poisson_zero_rate_is_always_zero():
     stream = SplitMix64(1)
     assert all(stream.poisson(0.0) == 0 for _ in range(50))
+
+
+def test_poisson_draws_up_to_one_chunk_are_unchanged():
+    # pinned before large rates were split into chunks; rates up to the
+    # chunk size must keep drawing exactly as before
+    stream = SplitMix64(2024)
+    assert [stream.poisson(3.0) for _ in range(12)] == [2, 3, 2, 4, 5, 5, 2, 3, 0, 6, 1, 3]
+    stream = SplitMix64(2024)
+    assert [stream.poisson(500.0) for _ in range(6)] == [498, 512, 523, 529, 520, 471]
+    assert stream.next_u64() == 9335176298001134086
+
+
+@pytest.mark.parametrize("rate", [1000.0, 5000.0])
+def test_poisson_mean_holds_past_the_exp_underflow(rate):
+    # a single multiplication-method draw saturates near 745, where
+    # exp(-rate) underflows
+    stream = SplitMix64(7)
+    draws = [stream.poisson(rate) for _ in range(100)]
+    assert abs(sum(draws) / len(draws) - rate) < 0.03 * rate
