@@ -1,7 +1,8 @@
 """Command-line interface for generating, inspecting, and converting traces.
 
 Exit codes: 0 success (and validation passed), 1 validation findings,
-2 usage or configuration errors, 3 I/O, parse, or integrity errors.
+2 usage or configuration errors, 3 I/O, parse, or integrity errors,
+4 internal errors (a bug: the traceback goes to stderr).
 File arguments accept "-" for the standard streams. Output files are
 written to a temporary sibling and renamed into place, so a failing
 command never leaves a partial file behind.
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 from .analysis import MODE_PAPER, MODE_STRICT, classify, stats, validate
 from .environments import EnvironmentId, enumerate_environments, env_from_coords
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _env_argument(text: str) -> EnvironmentId:
@@ -234,6 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception:
+        # anything else is a defect in vmptrace, not in its input
+        print("internal error:", traceback.format_exc(), end="", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

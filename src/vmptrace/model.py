@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 
 from .environments import EnvironmentId
 from .errors import ValidationError
@@ -272,6 +273,10 @@ class Trace:
     sampling live in the analysis layer so that broken documents can still be
     represented and reported on. Instances are immutable and safe to share
     across threads.
+
+    The population index behind ``dc_population`` and ``service_vm_count``
+    is built on first use and cached on the instance, so it lives exactly as
+    long as the trace does.
     """
 
     header: TraceHeader
@@ -295,6 +300,22 @@ class Trace:
     def service_ids(self) -> tuple[int, ...]:
         return tuple(sorted({desc.service_id for desc in self.descriptors}))
 
+    @cached_property
+    def _population(self) -> dict[int, list[tuple[VmDescriptor, ...]]]:
+        """Per datacenter, one entry per tick of the horizon: the descriptors
+        alive there, in (service_id, vm_index) order. Descriptors are sorted
+        here rather than assumed canonical, since a hand-built trace need not
+        be; ticks past the horizon are dropped."""
+        horizon = self.header.horizon
+        buckets: dict[int, list[list[VmDescriptor]]] = {}
+        for desc in sorted(self.descriptors, key=lambda d: (d.service_id, d.vm_index)):
+            ticks = buckets.get(desc.dc_id)
+            if ticks is None:
+                ticks = buckets[desc.dc_id] = [[] for _ in range(horizon)]
+            for t in range(desc.t_init, min(desc.t_end, horizon)):
+                ticks[t].append(desc)
+        return {dc_id: [tuple(alive) for alive in ticks] for dc_id, ticks in buckets.items()}
+
 
 def dc_population(trace: Trace, dc_id: int, t: int) -> list[tuple[int, int]]:
     """VMs alive in one datacenter at one tick, as sorted (service_id, vm_index) pairs.
@@ -303,13 +324,10 @@ def dc_population(trace: Trace, dc_id: int, t: int) -> list[tuple[int, int]]:
     empty list. Ticks outside ``[0, horizon)`` are a caller error.
     """
     _check_population_tick(trace, t)
-    pairs = [
-        (desc.service_id, desc.vm_index)
-        for desc in trace.descriptors
-        if desc.dc_id == dc_id and desc.alive_at(t)
-    ]
-    pairs.sort()
-    return pairs
+    ticks = trace._population.get(dc_id)
+    if ticks is None:
+        return []
+    return [(desc.service_id, desc.vm_index) for desc in ticks[t]]
 
 
 def service_vm_count(trace: Trace, service_id: int, t: int) -> int:
@@ -319,7 +337,7 @@ def service_vm_count(trace: Trace, service_id: int, t: int) -> int:
     error.
     """
     _check_population_tick(trace, t)
-    return sum(1 for desc in trace.descriptors if desc.service_id == service_id and desc.alive_at(t))
+    return sum(1 for ticks in trace._population.values() for desc in ticks[t] if desc.service_id == service_id)
 
 
 def _check_population_tick(trace: Trace, t: int) -> None:

@@ -42,6 +42,8 @@ _HEADER_KEYS = ("type", "format_version", "environment", "horizon", "num_datacen
 _SAMPLE_KEYS = ("type", *CSV_COLUMNS)
 # a sample line is the CSV row's fields, each a JSON number, under their keys
 _SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name in CSV_COLUMNS)]) + "}}"
+# one decoder for every line; json.loads(..., parse_float=Decimal) builds a new one per call
+_DECODER = json.JSONDecoder(parse_float=Decimal)
 
 
 def canonicalize(trace: Trace) -> Trace:
@@ -144,7 +146,10 @@ def write_trace_file(trace: Trace, path) -> int:
 
 def _load_line(line: str, line_number: int) -> dict:
     try:
-        value = json.loads(line, parse_float=Decimal)
+        if line.startswith("\ufeff"):
+            # json.loads refuses a leading BOM before it decodes; JSONDecoder.decode does not check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        value = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", line_number) from None
     if not isinstance(value, dict):
@@ -308,13 +313,15 @@ def read_trace(source) -> Trace:
             raise ParseError(f"unknown line type {line_type!r}", index)
 
     descriptors = _reconstruct_descriptors(events, samples)
-    trace = Trace(
+    # built once, already canonical: descriptors come out in key order, and a
+    # sample's dict key is its sort key
+    events.sort(key=lambda e: e.sort_key)
+    return Trace(
         header=header,
         descriptors=tuple(descriptors),
         events=tuple(events),
-        samples=tuple(entry[0] for entry in samples.values()),
+        samples=tuple(samples[key][0] for key in sorted(samples)),
     )
-    return canonicalize(trace)
 
 
 def _unique_event_map(events: list[TraceEvent], kind: EventKind, label: str) -> dict:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from vmptrace.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from vmptrace import cli
+from vmptrace.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from vmptrace.generator import config_digest, default_config
 from vmptrace.environments import env_from_coords
 from vmptrace.traceio import read_trace_file
@@ -155,6 +156,20 @@ def test_list_envs_output(capsys):
     assert lines[0] == "(0,0) Not Considered / Not Considered"
     assert "(2,1) Vertical / Server" in lines
     assert lines[-1] == "(3,3) Horizontal and Vertical / Server and Network"
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "handle_list_envs", broken)
+    assert _run(["list-envs"]) == EXIT_INTERNAL
+    assert len({EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO, EXIT_INTERNAL}) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: Traceback (most recent call last):\n")
+    assert captured.err.endswith("RuntimeError: boom\n")
+    assert "in broken" in captured.err
 
 
 def test_stats_table_and_json(tmp_path, capsys):

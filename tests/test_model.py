@@ -7,6 +7,7 @@ import pytest
 from vmptrace.environments import env_from_coords
 from vmptrace.errors import ValidationError
 from vmptrace.fixtures import FixtureId, fixture_trace
+from vmptrace.generator import config_from_dict, default_config, generate
 from vmptrace.model import (
     EventKind,
     ResourceSpec,
@@ -180,6 +181,100 @@ def test_service_vm_count_on_the_horizontal_example():
     assert service_vm_count(trace, 2, 4) == 2
     assert service_vm_count(trace, 2, 5) == 0
     assert service_vm_count(trace, 9, 0) == 0
+
+
+def _scan_dc_population(trace, dc_id, t):
+    """Reference: the full descriptor scan dc_population used to make per call."""
+    pairs = [
+        (desc.service_id, desc.vm_index)
+        for desc in trace.descriptors
+        if desc.dc_id == dc_id and desc.alive_at(t)
+    ]
+    pairs.sort()
+    return pairs
+
+
+def _scan_service_vm_count(trace, service_id, t):
+    return sum(1 for desc in trace.descriptors if desc.service_id == service_id and desc.alive_at(t))
+
+
+def _population_traces():
+    traces = [fixture_trace(fixture) for fixture in FixtureId]
+    for (elasticity, overbooking), seed in (((0, 0), 0), ((1, 0), 1), ((1, 3), 2), ((2, 1), 3), ((3, 3), 4)):
+        env = env_from_coords(elasticity, overbooking)
+        traces.append(generate(default_config(env, seed=seed, horizon=15, num_datacenters=3, guarantee_dynamics=True)))
+    for seed in (1, 2):
+        burst = {
+            "environment": [1, 0],
+            "horizon": 30,
+            "num_datacenters": 3,
+            "seed": seed,
+            "arrival": {"rate": 3, "burst": True},
+            "service_shape": {"vms_per_dc": [1, 2], "lifetime": [1, 4]},
+            "guarantee_dynamics": True,
+        }
+        traces.append(generate(config_from_dict(burst)))
+
+    header = TraceHeader(env_from_coords(1, 0), horizon=5, num_datacenters=2)
+    hand_built = [
+        VmDescriptor(3, 2, 1, revenue=0, sla=1, t_init=1, t_end=4),
+        VmDescriptor(1, 2, 2, revenue=0, sla=1, t_init=0, t_end=2),
+        VmDescriptor(2, 1, 5, revenue=0, sla=1, t_init=2, t_end=9),  # ends past the horizon
+        VmDescriptor(1, 2, 1, revenue=0, sla=1, t_init=0, t_end=5),
+        VmDescriptor(2, 1, 1, revenue=0, sla=1, t_init=4, t_end=5),
+        VmDescriptor(1, 4, 1, revenue=0, sla=1, t_init=1, t_end=3),  # dc beyond num_datacenters
+        VmDescriptor(4, 1, 1, revenue=0, sla=1, t_init=7, t_end=8),  # starts past the horizon
+    ]
+    traces.append(Trace(header, tuple(hand_built), (), ()))
+    traces.append(Trace(header, tuple(reversed(hand_built)), (), ()))
+    return traces
+
+
+def test_dc_population_and_service_vm_count_match_a_full_scan():
+    for trace in _population_traces():
+        header = trace.header
+        dc_ids = range(0, max([header.num_datacenters, *(d.dc_id for d in trace.descriptors)]) + 2)
+        service_ids = range(0, max([0, *(d.service_id for d in trace.descriptors)]) + 2)
+        for t in range(header.horizon):
+            for dc_id in dc_ids:
+                assert dc_population(trace, dc_id, t) == _scan_dc_population(trace, dc_id, t), (header, dc_id, t)
+            for service_id in service_ids:
+                assert service_vm_count(trace, service_id, t) == _scan_service_vm_count(trace, service_id, t)
+
+
+def test_dc_population_on_hand_built_out_of_order_traces():
+    hand_built = _population_traces()[-2:]
+    for trace in hand_built:
+        assert dc_population(trace, 2, 0) == [(1, 1), (1, 2)]
+        assert dc_population(trace, 2, 1) == [(1, 1), (1, 2), (3, 1)]
+        assert dc_population(trace, 1, 4) == [(2, 1), (2, 5)]
+        assert dc_population(trace, 4, 2) == [(1, 1)]
+        assert dc_population(trace, 3, 2) == []
+        assert service_vm_count(trace, 2, 4) == 2
+        assert service_vm_count(trace, 4, 4) == 0
+        with pytest.raises(ValidationError):
+            dc_population(trace, 1, 5)
+        with pytest.raises(ValidationError):
+            service_vm_count(trace, 1, 5)
+
+
+def test_dc_population_returns_a_fresh_list_each_call():
+    trace = fixture_trace(FixtureId.ENV_1_0)
+    first = dc_population(trace, 1, 2)
+    first.append((9, 9))
+    first.remove((1, 1))
+    assert dc_population(trace, 1, 2) == [(1, 1), (1, 2), (2, 3)]
+    empty = dc_population(trace, 1, 5)
+    empty.append((9, 9))
+    assert dc_population(trace, 1, 5) == []
+    unused = dc_population(trace, 7, 0)
+    unused.append((9, 9))
+    assert dc_population(trace, 7, 0) == []
+    for bad in (6, -1, 7, True, "1", 1.0):
+        with pytest.raises(ValidationError):
+            dc_population(trace, 1, bad)
+        with pytest.raises(ValidationError):
+            service_vm_count(trace, 1, bad)
 
 
 def test_sample_sort_key_orders_by_tick_then_identity():

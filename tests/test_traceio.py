@@ -143,6 +143,36 @@ def test_malformed_json_reports_its_line_number():
         read_trace(_doc_from_lines(lines))
 
 
+def test_byte_order_mark_keeps_the_json_loads_message():
+    # the reader shares one JSONDecoder, whose decode() skips the BOM check
+    # json.loads makes; the message must stay the one json.loads gave
+    raw = trace_to_bytes(fixture_trace(FixtureId.ENV_0_1))
+    expected = "line 1: malformed JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(b"\xef\xbb\xbf" + raw)
+    assert str(excinfo.value) == expected
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    lines[3] = "\ufeff" + lines[3]
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines(lines))
+    assert str(excinfo.value) == expected.replace("line 1", "line 4")
+
+
+def test_reader_reorders_shuffled_event_and_sample_lines():
+    canonical = trace_to_bytes(
+        generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+    )
+    header, *body = canonical.decode("utf-8").splitlines()
+    assert any('"type":"event"' in line for line in body)
+    for seed in range(3):
+        shuffled_body = list(body)
+        random.Random(seed).shuffle(shuffled_body)
+        assert shuffled_body != body
+        shuffled = _doc_from_lines([header, *shuffled_body])
+        assert read_trace(shuffled) == read_trace(canonical)
+        assert trace_to_bytes(read_trace(shuffled)) == canonical
+
+
 def test_unknown_record_type_is_rejected():
     lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
     lines.append('{"type":"banana"}')
