@@ -37,6 +37,7 @@ from .environments import EnvironmentId, capabilities, env_from_coords
 from .errors import ConfigError, ValidationError
 from .model import (
     MAX_SEED,
+    QUANTITY_LIMIT,
     EventKind,
     ResourceSpec,
     Trace,
@@ -175,6 +176,12 @@ def _check_int_range(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} lower bound must be >= {minimum}, got {lo}")
 
 
+def _check_quantity_range(name: str, value) -> None:
+    _check_int_range(name, value, 0)
+    if value[1] >= QUANTITY_LIMIT:
+        raise ConfigError(f"{name} upper bound must be < 10**28, the quantity limit, got {value[1]}")
+
+
 def _check_probability(name: str, value) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be a probability in [0, 1], got {value!r}")
@@ -203,10 +210,10 @@ def check_config(config: GeneratorConfig) -> None:
     _check_int_range("service_shape.lifetime", config.service_shape.lifetime, 1)
 
     sizing = config.sizing
-    _check_int_range("sizing.vcpu", sizing.vcpu, 0)
-    _check_int_range("sizing.vram", sizing.vram, 0)
-    _check_int_range("sizing.vnet", sizing.vnet, 0)
-    _check_int_range("sizing.revenue", sizing.revenue, 0)
+    _check_quantity_range("sizing.vcpu", sizing.vcpu)
+    _check_quantity_range("sizing.vram", sizing.vram)
+    _check_quantity_range("sizing.vnet", sizing.vnet)
+    _check_quantity_range("sizing.revenue", sizing.revenue)
     _check_int_range("sizing.sla", sizing.sla, 1)
 
     vertical = config.vertical_policy
@@ -233,9 +240,9 @@ def check_config(config: GeneratorConfig) -> None:
         )
 
     util = config.utilization_policy
-    _check_int_range("utilization_policy.cpu_step", util.cpu_step, 0)
-    _check_int_range("utilization_policy.ram_step", util.ram_step, 0)
-    _check_int_range("utilization_policy.net_step", util.net_step, 0)
+    _check_quantity_range("utilization_policy.cpu_step", util.cpu_step)
+    _check_quantity_range("utilization_policy.ram_step", util.ram_step)
+    _check_quantity_range("utilization_policy.net_step", util.net_step)
 
     if config.guarantee_dynamics:
         caps = capabilities(config.environment)

@@ -25,12 +25,28 @@ from .errors import ValidationError
 MAX_SEED = 2**64 - 1
 
 
+# quantity_text renders through the default decimal context, which holds 28
+# significant digits; a quantity must fit it to round-trip byte for byte
+_QUANTITY_DIGITS = 28
+QUANTITY_LIMIT = 10**_QUANTITY_DIGITS
+
+
 def as_quantity(value: int | str | Decimal) -> Decimal:
-    """Convert a value to a non-negative, finite Decimal quantity.
+    """Convert a value to a non-negative Decimal quantity that
+    ``quantity_text`` renders exactly.
 
     Accepts ints, decimal strings, and Decimals. Binary floats are rejected:
     they carry rounding error that would leak into serialized documents.
+    The domain is the finite values below ``10**28`` with at most 28
+    significant digits and no digit below ``10**-1000026``: exactly what
+    the default decimal context holds.
     """
+    # exact-type fast paths; they accept and return what the checks below do
+    if type(value) is Decimal:
+        if value.is_finite() and value >= 0 and value.adjusted() < _QUANTITY_DIGITS and +value == value:
+            return value if value else Decimal(0)
+    elif type(value) is int and 0 <= value < QUANTITY_LIMIT:
+        return Decimal(value)
     if isinstance(value, bool):
         raise ValidationError(f"quantity must be a number, got {value!r}")
     if isinstance(value, float):
@@ -51,7 +67,16 @@ def as_quantity(value: int | str | Decimal) -> Decimal:
         raise ValidationError(f"quantity must be finite, got {value}")
     if value < 0:
         raise ValidationError(f"quantity must be >= 0, got {value}")
-    return value if value != 0 else Decimal(0)
+    if value == 0:
+        return Decimal(0)
+    # +value rounds to the context; adjusted() bounds the integer digits first,
+    # so the rounding cannot overflow
+    if value.adjusted() >= _QUANTITY_DIGITS or +value != value:
+        raise ValidationError(
+            f"quantity {value} cannot be rendered exactly: quantities must be below 10**28, "
+            "with at most 28 significant digits and no digit below 10**-1000026"
+        )
+    return value
 
 
 def quantity_text(value: Decimal) -> str:
@@ -70,7 +95,7 @@ def quantity_text(value: Decimal) -> str:
     return format(normalized, "f")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceSpec:
     """Resources a VM requests: CPU, memory, and network bandwidth."""
 
@@ -84,7 +109,7 @@ class ResourceSpec:
         object.__setattr__(self, "vnet", as_quantity(self.vnet))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtilizationSample:
     """Resources a VM actually uses at one tick."""
 
@@ -104,16 +129,20 @@ def full_utilization(spec: ResourceSpec) -> UtilizationSample:
 
 
 def _check_id(name: str, value: int) -> None:
+    if type(value) is int and value >= 1:
+        return
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_tick(name: str, value: int, minimum: int = 0) -> None:
+    if type(value) is int and value >= minimum:
+        return
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VmDescriptor:
     """Identity and constants of one VM.
 
@@ -151,7 +180,7 @@ class VmDescriptor:
         return self.t_init <= t < self.t_end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VmSample:
     """One VM's requested and used resources at one tick."""
 
@@ -201,7 +230,7 @@ class EventKind(Enum):
 _EVENT_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """A service arrival or departure, or a VM scale-out or scale-in.
 

@@ -12,12 +12,20 @@ read(write(x)) == x for every valid trace.
 Sample lines carry each VM's revenue and SLA level; descriptors are
 reconstructed from the sample extent cross-checked against the lifecycle
 events, so a document needs no separate descriptor lines.
+
+Every quantity must lie in the domain ``model.as_quantity`` accepts, the
+values ``quantity_text`` renders exactly; one outside it is a ParseError on
+its line. Reading may share one Decimal between equal integer quantities of
+a document; object identity is not part of the API. A quantity spelled with
+a fraction, such as ``5.0``, keeps its own Decimal and spelling.
 """
 
 from __future__ import annotations
 
 import json
 from decimal import Decimal
+from itertools import islice
+from operator import attrgetter, itemgetter, le
 
 from .environments import env_from_coords
 from .errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError
@@ -30,6 +38,7 @@ from .model import (
     UtilizationSample,
     VmSample,
     VmDescriptor,
+    as_quantity,
     quantity_text,
 )
 
@@ -40,20 +49,40 @@ CSV_COLUMNS = ("t", "service", "dc", "vm", "vcpu", "vram", "vnet", "ucpu", "uram
 
 _HEADER_KEYS = ("type", "format_version", "environment", "horizon", "num_datacenters", "sla_levels", "seed", "config_digest")
 _SAMPLE_KEYS = ("type", *CSV_COLUMNS)
+_SAMPLE_KEY_SET = frozenset(_SAMPLE_KEYS)
+_sample_fields = itemgetter(*CSV_COLUMNS)
 # a sample line is the CSV row's fields, each a JSON number, under their keys
 _SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name in CSV_COLUMNS)]) + "}}"
 # one decoder for every line; json.loads(..., parse_float=Decimal) builds a new one per call
 _DECODER = json.JSONDecoder(parse_float=Decimal)
 
 
+# the sort keys of VmDescriptor.key, TraceEvent.sort_key and VmSample.sort_key
+_descriptor_key = attrgetter("service_id", "dc_id", "vm_index")
+_event_key = attrgetter("sort_key")
+_sample_key = attrgetter("t", "service_id", "dc_id", "vm_index")
+
+
 def canonicalize(trace: Trace) -> Trace:
-    """Sort events and samples into canonical order (stable for equal keys)."""
+    """Sort descriptors, events and samples into canonical order (stable for
+    equal keys). A trace already in canonical order is returned as is."""
+    if (
+        _in_order(trace.descriptors, _descriptor_key)
+        and _in_order(trace.events, _event_key)
+        and _in_order(trace.samples, _sample_key)
+    ):
+        return trace
     return Trace(
         header=trace.header,
-        descriptors=tuple(sorted(trace.descriptors, key=lambda d: d.key)),
-        events=tuple(sorted(trace.events, key=lambda e: e.sort_key)),
-        samples=tuple(sorted(trace.samples, key=lambda s: s.sort_key)),
+        descriptors=tuple(sorted(trace.descriptors, key=_descriptor_key)),
+        events=tuple(sorted(trace.events, key=_event_key)),
+        samples=tuple(sorted(trace.samples, key=_sample_key)),
     )
+
+
+def _in_order(items, key) -> bool:
+    keys = list(map(key, items))
+    return all(map(le, keys, islice(keys, 1, None)))
 
 
 def _header_line(header: TraceHeader) -> str:
@@ -85,10 +114,24 @@ def _event_line(event: TraceEvent) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+class _QuantityTexts(dict):
+    """quantity_text of each distinct quantity, rendered on first use.
+
+    Exact because the text depends only on the value, and equal Decimals
+    share a key: 5 and 5.0 both render "5". The one exception, -0, is never
+    held by the model, whose quantities go through as_quantity.
+    """
+
+    def __missing__(self, value: Decimal) -> str:
+        text = self[value] = quantity_text(value)
+        return text
+
+
 def _sample_rows(trace: Trace):
     """Each sample's fields rendered as text, in CSV_COLUMNS order; revenue
     and SLA level come from the sample's descriptor."""
     by_key = trace.descriptor_map()
+    texts = _QuantityTexts()
     for sample in trace.samples:
         descriptor = by_key.get(sample.vm_key)
         if descriptor is None:
@@ -99,13 +142,13 @@ def _sample_rows(trace: Trace):
             str(sample.service_id),
             str(sample.dc_id),
             str(sample.vm_index),
-            quantity_text(spec.vcpu),
-            quantity_text(spec.vram),
-            quantity_text(spec.vnet),
-            quantity_text(util.ucpu),
-            quantity_text(util.uram),
-            quantity_text(util.unet),
-            quantity_text(descriptor.revenue),
+            texts[spec.vcpu],
+            texts[spec.vram],
+            texts[spec.vnet],
+            texts[util.ucpu],
+            texts[util.uram],
+            texts[util.unet],
+            texts[descriptor.revenue],
             str(descriptor.sla),
         )
 
@@ -224,7 +267,40 @@ def _parse_event(obj: dict, line_number: int) -> TraceEvent:
         raise ParseError(str(exc), line_number) from None
 
 
-def _parse_sample(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int, int]:
+class _SharedDecimals(dict):
+    """One Decimal per distinct JSON integer quantity, made on first use."""
+
+    def __missing__(self, value: int) -> Decimal:
+        decimal = self[value] = Decimal(value)
+        return decimal
+
+
+def _parse_sample(obj: dict, line_number: int, shared: _SharedDecimals) -> tuple[VmSample, Decimal | int, int]:
+    """A sample line's VmSample, revenue and SLA level.
+
+    A line with exactly the sample keys, integer ids and int or Decimal
+    quantities (what the writer emits) takes the fast path: one type test per
+    field, integer quantities taken from ``shared``. Any other line is checked
+    field by field, so it fails with the same message in the same order.
+    Both paths build the sample through the model constructors.
+    """
+    if obj.keys() == _SAMPLE_KEY_SET:
+        t, service, dc, vm, *quantities, sla = _sample_fields(obj)
+        if type(t) is type(service) is type(dc) is type(vm) is type(sla) is int:
+            vcpu, vram, vnet, ucpu, uram, unet, revenue = [shared[q] if type(q) is int else q for q in quantities]
+            if type(vcpu) is type(vram) is type(vnet) is type(ucpu) is type(uram) is type(unet) is type(revenue) is Decimal:
+                try:
+                    spec = ResourceSpec(vcpu, vram, vnet)
+                    util = UtilizationSample(ucpu, uram, unet)
+                    sample = VmSample(service, dc, vm, t, spec, util)
+                    _check_revenue(revenue)
+                except ValidationError as exc:
+                    raise ParseError(str(exc), line_number) from None
+                return sample, revenue, sla
+    return _parse_sample_fields(obj, line_number)
+
+
+def _parse_sample_fields(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int, int]:
     _check_keys(obj, _SAMPLE_KEYS, _SAMPLE_KEYS, line_number)
     try:
         sample = VmSample(
@@ -245,9 +321,17 @@ def _parse_sample(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int,
         )
         revenue = _field_quantity(obj, "revenue", line_number)
         sla = _field_int(obj, "sla", line_number)
+        _check_revenue(revenue)
     except ValidationError as exc:
         raise ParseError(str(exc), line_number) from None
     return sample, revenue, sla
+
+
+def _check_revenue(revenue: Decimal | int) -> None:
+    # a revenue outside the quantity domain is refused on its own line; a
+    # negative one is refused per VM, after the revenues of its samples are compared
+    if revenue >= 0:
+        as_quantity(revenue)
 
 
 def _source_text(source) -> str:
@@ -292,6 +376,7 @@ def read_trace(source) -> Trace:
 
     events: list[TraceEvent] = []
     samples: dict[tuple[int, int, int, int], tuple[VmSample, Decimal | int, int]] = {}
+    shared = _SharedDecimals()
     for index, line in enumerate(lines[1:], start=2):
         if line == "":
             raise ParseError("blank line", index)
@@ -302,7 +387,7 @@ def read_trace(source) -> Trace:
         if line_type == "event":
             events.append(_parse_event(obj, index))
         elif line_type == "sample":
-            sample, revenue, sla = _parse_sample(obj, index)
+            sample, revenue, sla = _parse_sample(obj, index, shared)
             key = (sample.t, sample.service_id, sample.dc_id, sample.vm_index)
             if key in samples:
                 raise IntegrityError(
@@ -352,10 +437,14 @@ def _reconstruct_descriptors(
     descriptors = []
     for key in sorted(by_vm):
         entries = by_vm[key]
-        revenues = {quantity_text(Decimal(r)) if isinstance(r, int) else quantity_text(r) for _, r, _ in entries}
+        first = entries[0][1]
+        # equal non-zero revenues render alike, so only a mismatch or a zero,
+        # which a document may spell -0, is rendered to be compared as text
+        if first == 0 or any(revenue != first for _, revenue, _ in entries):
+            revenues = {_revenue_text(revenue) for _, revenue, _ in entries}
+            if len(revenues) > 1:
+                raise IntegrityError(f"VM {key} has inconsistent revenue values: {sorted(revenues)}")
         slas = {sla for _, _, sla in entries}
-        if len(revenues) > 1:
-            raise IntegrityError(f"VM {key} has inconsistent revenue values: {sorted(revenues)}")
         if len(slas) > 1:
             raise IntegrityError(f"VM {key} has inconsistent sla values: {sorted(slas)}")
         ticks = sorted(entry[0].t for entry in entries)
@@ -381,6 +470,15 @@ def _reconstruct_descriptors(
         except ValidationError as exc:
             raise IntegrityError(f"VM {key}: {exc}") from None
     return descriptors
+
+
+def _revenue_text(revenue: Decimal | int) -> str:
+    # only a negative revenue, which is refused anyway, can lie outside the
+    # quantity domain, where quantity_text overflows or cannot quantize
+    try:
+        return quantity_text(Decimal(revenue))
+    except ArithmeticError:
+        return str(revenue)
 
 
 def read_trace_file(path) -> Trace:

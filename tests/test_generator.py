@@ -31,7 +31,7 @@ from vmptrace.generator import (
 )
 from vmptrace.model import EventKind, ResourceSpec, UtilizationSample, full_utilization
 from vmptrace.rng import SplitMix64, derive_stream
-from vmptrace.traceio import trace_to_bytes
+from vmptrace.traceio import read_trace, trace_to_bytes
 
 
 def _inert(config: GeneratorConfig) -> GeneratorConfig:
@@ -345,10 +345,28 @@ def test_config_checks_reject_bad_fields():
         dict(horizontal_policy=HorizontalPolicy(min_vms=3, max_vms=2)),
         dict(utilization_policy=UtilizationPolicy(cpu_step=(2, 1))),
         dict(utilization_policy=UtilizationPolicy(net_step=(-1, 2))),
+        # quantities must stay below 10**28, where quantity_text renders exactly
+        dict(sizing=SizingRanges(vcpu=(1, 10**28))),
+        dict(sizing=SizingRanges(revenue=(0, 10**30 + 1))),
+        dict(utilization_policy=UtilizationPolicy(cpu_step=(0, 10**28))),
     ]
     for replacement in bad_cases:
         with pytest.raises(ConfigError):
             check_config(dataclasses.replace(base, **replacement))
+
+
+def test_largest_quantity_ranges_generate_renderable_traces():
+    config = dataclasses.replace(
+        default_config(env_from_coords(0, 1), seed=3, horizon=4),
+        sizing=SizingRanges(vcpu=(10**28 - 1, 10**28 - 1), revenue=(10**28 - 1, 10**28 - 1)),
+        utilization_policy=UtilizationPolicy(cpu_step=(10**28 - 1, 10**28 - 1)),
+    )
+    check_config(config)
+    trace = generate(config)
+    assert {sample.spec.vcpu for sample in trace.samples} == {Decimal(10**28 - 1)}
+    assert read_trace(trace_to_bytes(trace)) == trace
+    with pytest.raises(ConfigError, match=r"sizing.vcpu upper bound must be < 10\*\*28"):
+        check_config(dataclasses.replace(config, sizing=SizingRanges(vcpu=(1, 10**28))))
 
 
 def test_burst_arrivals_allow_rates_above_one():

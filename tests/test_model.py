@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import copy
+import enum
+import pickle
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmptrace.environments import env_from_coords
 from vmptrace.errors import ValidationError
 from vmptrace.fixtures import FixtureId, fixture_trace
 from vmptrace.generator import config_from_dict, default_config, generate
+from vmptrace import model
 from vmptrace.model import (
+    QUANTITY_LIMIT,
     EventKind,
     ResourceSpec,
     Trace,
@@ -53,6 +59,131 @@ def test_negative_zero_normalizes_to_plain_zero():
     value = as_quantity("-0")
     assert value == 0
     assert quantity_text(value) == "0"
+
+
+# values quantity_text cannot render exactly: an overflow, two past 28 digits, an underflow to 0
+OUT_OF_DOMAIN = [Decimal("1e999999999"), Decimal("1e28"), 10**30 + 1, Decimal("1e-999999999")]
+
+
+@pytest.mark.parametrize("value", OUT_OF_DOMAIN, ids=str)
+def test_as_quantity_rejects_what_quantity_text_cannot_render_exactly(value):
+    with pytest.raises(ValidationError, match="cannot be rendered exactly"):
+        as_quantity(value)
+    with pytest.raises(ValidationError, match="cannot be rendered exactly"):
+        as_quantity(str(value))
+
+
+def test_quantity_domain_edges_render_exactly():
+    edges = [QUANTITY_LIMIT - 1, "0.1234567890123456789012345678", "1E-1000026", "1." + "0" * 40, "0E+999999999"]
+    for value in edges:
+        quantity = as_quantity(value)
+        assert Decimal(quantity_text(quantity)) == quantity
+    for value in [QUANTITY_LIMIT, "0.12345678901234567890123456789", "1E-1000027", "1.5E-1000026"]:
+        with pytest.raises(ValidationError, match="cannot be rendered exactly"):
+            as_quantity(value)
+
+
+def _reference_quantity(value):
+    """as_quantity checked type by type, without its exact-type fast paths."""
+    if isinstance(value, bool):
+        raise ValidationError(f"quantity must be a number, got {value!r}")
+    if isinstance(value, float):
+        raise ValidationError(
+            f"binary float quantity {value!r} is not exact; pass an int, a decimal "
+            "string, or a Decimal"
+        )
+    if isinstance(value, int):
+        value = Decimal(value)
+    elif isinstance(value, str):
+        try:
+            value = Decimal(value)
+        except ArithmeticError:
+            raise ValidationError(f"invalid decimal quantity {value!r}") from None
+    elif not isinstance(value, Decimal):
+        raise ValidationError(f"quantity must be a number, got {value!r}")
+    if not value.is_finite():
+        raise ValidationError(f"quantity must be finite, got {value}")
+    if value < 0:
+        raise ValidationError(f"quantity must be >= 0, got {value}")
+    if value == 0:
+        return Decimal(0)
+    try:
+        exact = Decimal(quantity_text(value)) == value
+    except ArithmeticError:
+        exact = False
+    if not exact:
+        raise ValidationError(
+            f"quantity {value} cannot be rendered exactly: quantities must be below 10**28, "
+            "with at most 28 significant digits and no digit below 10**-1000026"
+        )
+    return value
+
+
+def _outcome(fn, value):
+    try:
+        result = fn(value)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return ("value", type(result), repr(result))
+
+
+class _Count(int):
+    pass
+
+
+class _Dec(Decimal):
+    pass
+
+
+_QUANTITY_EDGES = [
+    0, 1, -1, QUANTITY_LIMIT - 1, QUANTITY_LIMIT, 10**30 + 1, True, False, 1.5, 0.0, None, [1],
+    "5", "5.0", "-0", "1e28", "abc", _Count(3), _Count(-3), _Dec("2.5"), _Dec("-1"),
+    *(Decimal(text) for text in ["5", "5.0", "-0", "-0.0", "0E+999999999", "0E-1000030", "NaN", "-NaN", "sNaN",
+                                 "Infinity", "-Infinity", "1e999999999", "1e28", "9.999e27", "1e-999999999",
+                                 "1E-1000026", "1E-1000027", "-5", "1." + "0" * 40, "0." + "1" * 29]),
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.sampled_from(_QUANTITY_EDGES),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.decimals(allow_nan=True, allow_infinity=True),
+        st.builds(
+            lambda digits, exponent: Decimal(f"{digits}E{exponent}"),
+            st.integers(min_value=0, max_value=10**35),
+            st.integers(min_value=-1000040, max_value=40),
+        ),
+        st.text(max_size=8),
+    )
+)
+def test_as_quantity_fast_paths_agree_with_the_type_by_type_checks(value):
+    # the fast paths and the domain test must accept, reject and return exactly
+    # what the checks and an exact rendering do
+    assert _outcome(as_quantity, value) == _outcome(_reference_quantity, value)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+def test_id_and_tick_checks_accept_int_subclasses_and_refuse_bools():
+    for check in (lambda v: model._check_id("x", v), lambda v: model._check_tick("x", v, 1)):
+        for value in (1, 7, _Level.ONE, _Count(2)):
+            check(value)
+        for value in (0, -1, True, False, 1.0, "1", None, Decimal(1)):
+            with pytest.raises(ValidationError, match="must be an integer >= 1"):
+                check(value)
+
+
+def test_trace_values_pickle_and_copy_without_an_instance_dict():
+    trace = fixture_trace(FixtureId.ENV_1_0)
+    for value in (trace.samples[0], trace.samples[0].spec, trace.samples[0].util, trace.descriptors[0], trace.events[0]):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    assert copy.deepcopy(trace) == trace
 
 
 def test_quantity_text_uses_the_shortest_exact_form():

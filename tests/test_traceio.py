@@ -1,22 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vmptrace import traceio
 from vmptrace.environments import env_from_coords
-from vmptrace.errors import FormatError, IntegrityError, ParseError
+from vmptrace.errors import FormatError, IntegrityError, ParseError, ValidationError, VmpTraceError
 from vmptrace.fixtures import FixtureId, fixture_trace
-from vmptrace.generator import default_config, generate
+from vmptrace.generator import VerticalPolicy, default_config, generate
 from vmptrace.model import (
     ResourceSpec,
+    UtilizationSample,
     Trace,
     TraceHeader,
     VmDescriptor,
     VmSample,
+    as_quantity,
     full_utilization,
 )
 from vmptrace.traceio import (
@@ -234,11 +239,24 @@ def test_sample_before_the_arrival_is_rejected():
 
 
 def test_conflicting_revenue_between_samples_is_rejected():
+    # lines[3] is VM (1,1,1) at t=0; its later samples keep revenue 0
+    # -1e28 is past what quantity_text renders, so it keeps its own spelling
+    cases = (("1", "['0', '1']"), ("-0.0", "['-0', '0']"), ("0.5", "['0', '0.5']"), ("-1e28", "['-1E+28', '0']"))
+    for spelling, texts in cases:
+        lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+        lines[3] = lines[3].replace('"revenue":0', f'"revenue":{spelling}')
+        with pytest.raises(IntegrityError) as excinfo:
+            read_trace(_doc_from_lines(lines))
+        assert str(excinfo.value) == f"VM (1, 1, 1) has inconsistent revenue values: {texts}"
+
+
+def test_equal_revenues_in_different_spellings_agree():
     lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
-    index = next(i for i, line in enumerate(lines) if '"type":"sample"' in line)
-    lines[index] = lines[index].replace('"revenue":0', '"revenue":1')
-    with pytest.raises(IntegrityError):
-        read_trace(_doc_from_lines(lines))
+    vm_lines = [i for i, line in enumerate(lines) if '"dc":1,"vm":1,' in line]
+    for position, i in enumerate(vm_lines):
+        lines[i] = lines[i].replace('"revenue":0', '"revenue":5.0' if position == 1 else '"revenue":5')
+    trace = read_trace(_doc_from_lines(lines))
+    assert trace.descriptor_map()[(1, 1, 1)].revenue == Decimal(5)
 
 
 def test_repeated_scale_out_for_one_vm_is_rejected():
@@ -260,6 +278,11 @@ def test_canonicalize_orders_events_and_samples():
     scrambled = Trace(trace.header, tuple(descriptors), tuple(events), tuple(samples))
     assert canonicalize(scrambled) == canonicalize(trace)
     assert canonicalize(trace) == trace
+    # a trace already in canonical order is not sorted again; one out of order
+    # in any single part is
+    assert canonicalize(trace) is trace
+    for part in (dict(descriptors=tuple(descriptors)), dict(events=tuple(events)), dict(samples=tuple(samples))):
+        assert canonicalize(dataclasses.replace(trace, **part)) == trace
 
 
 def test_decimal_quantities_render_in_shortest_exact_form():
@@ -301,3 +324,191 @@ def test_dump_json_renders_decimals_and_preserves_order():
     pretty = dump_json(value, indent=2)
     assert pretty.startswith('{\n  "b": 1.0000,')
     assert json.loads(pretty) == {"b": 1.0, "a": 1, "nested": [2.5, "x", None, True]}
+
+
+def test_writers_render_each_distinct_quantity_once(monkeypatch):
+    trace = generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+    distinct = {
+        quantity
+        for sample in trace.samples
+        for quantity in (*dataclasses.astuple(sample.spec), *dataclasses.astuple(sample.util))
+    } | {descriptor.revenue for descriptor in trace.descriptors}
+    rendered = []
+    quantity_text = traceio.quantity_text
+
+    def counting_quantity_text(value):
+        rendered.append(value)
+        return quantity_text(value)
+
+    expected_bytes, expected_csv = trace_to_bytes(trace), trace_to_csv_text(trace)
+    monkeypatch.setattr(traceio, "quantity_text", counting_quantity_text)
+    assert trace_to_bytes(trace) == expected_bytes
+    assert sorted(rendered) == sorted(distinct)
+    rendered.clear()
+    assert trace_to_csv_text(trace) == expected_csv
+    assert len(rendered) == len(distinct)
+
+
+def test_reader_keeps_each_decimal_spelling():
+    # 5 and 5.0 are equal but stats and reports print them as stored
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    lines[4] = lines[4].replace('"vcpu":5,', '"vcpu":5.0,')
+    lines[5] = lines[5].replace('"vcpu":5,', '"vcpu":5.00,')
+    trace = read_trace(_doc_from_lines(lines))
+    spellings = [str(sample.spec.vcpu) for sample in trace.samples[:4]]
+    assert spellings == ["8", "5.0", "5.00", "9"]
+
+
+# one value per way quantity_text used to fail: an overflow, two past 28 digits, an underflow to 0
+OUT_OF_DOMAIN = ["1e999999999", "1e28", str(10**30 + 1), "1e-999999999"]
+
+
+@pytest.mark.parametrize("literal", OUT_OF_DOMAIN)
+@pytest.mark.parametrize("field", ["vcpu", "unet", "revenue"])
+def test_quantities_outside_the_domain_are_parse_errors(field, literal):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    record = json.loads(lines[6])
+    record[field] = "@"
+    lines[6] = json.dumps(record, separators=(",", ":")).replace('"@"', literal)
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines(lines))
+    assert str(excinfo.value).startswith(f"line 7: quantity {Decimal(literal)} cannot be rendered exactly")
+
+
+PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_examples=12)
+
+
+@st.composite
+def _small_configs(draw, elasticity: int, overbooking: int):
+    guarantee = draw(st.booleans())
+    config = default_config(
+        env_from_coords(elasticity, overbooking),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon=draw(st.integers(2 if guarantee else 1, 8)),
+        num_datacenters=draw(st.integers(1, 3)),
+        guarantee_dynamics=guarantee,
+    )
+    # a non-zero precision gives fractional requested resources
+    return dataclasses.replace(config, vertical_policy=VerticalPolicy(p_step=0.5, precision=draw(st.integers(0, 3))))
+
+
+@pytest.mark.parametrize("overbooking", range(4))
+@pytest.mark.parametrize("elasticity", range(4))
+def test_generated_traces_round_trip_in_every_environment(elasticity, overbooking):
+    @PROPERTIES
+    @given(_small_configs(elasticity, overbooking))
+    def round_trips(config):
+        trace = generate(config)
+        document = trace_to_bytes(trace)
+        assert read_trace(document) == trace
+        assert trace_to_bytes(read_trace(document)) == document
+
+    round_trips()
+
+
+def _mutated_bytes(document: bytes):
+    edits = st.tuples(st.integers(0, len(document)), st.integers(0, 3), st.binary(max_size=3))
+
+    def apply(chosen):
+        data = document
+        for position, deleted, inserted in chosen:
+            data = data[:position] + inserted + data[position + deleted :]
+        return data
+
+    return st.lists(edits, min_size=1, max_size=4).map(apply)
+
+
+_FIXTURE_DOCUMENT = trace_to_bytes(fixture_trace(FixtureId.ENV_1_0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(st.binary(max_size=200), _mutated_bytes(_FIXTURE_DOCUMENT)))
+def test_read_trace_raises_only_package_errors_on_arbitrary_bytes(data):
+    try:
+        read_trace(data)
+    except VmpTraceError:
+        pass
+
+
+def _reference_parse_sample(obj, line_number, shared):
+    """The sample parser checked field by field, without the fast path."""
+    traceio._check_keys(obj, traceio._SAMPLE_KEYS, traceio._SAMPLE_KEYS, line_number)
+    try:
+        sample = VmSample(
+            service_id=traceio._field_int(obj, "service", line_number),
+            dc_id=traceio._field_int(obj, "dc", line_number),
+            vm_index=traceio._field_int(obj, "vm", line_number),
+            t=traceio._field_int(obj, "t", line_number),
+            spec=ResourceSpec(
+                vcpu=traceio._field_quantity(obj, "vcpu", line_number),
+                vram=traceio._field_quantity(obj, "vram", line_number),
+                vnet=traceio._field_quantity(obj, "vnet", line_number),
+            ),
+            util=UtilizationSample(
+                ucpu=traceio._field_quantity(obj, "ucpu", line_number),
+                uram=traceio._field_quantity(obj, "uram", line_number),
+                unet=traceio._field_quantity(obj, "unet", line_number),
+            ),
+        )
+        revenue = traceio._field_quantity(obj, "revenue", line_number)
+        sla = traceio._field_int(obj, "sla", line_number)
+        if revenue >= 0:
+            as_quantity(revenue)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line_number) from None
+    return sample, revenue, sla
+
+
+def _read_outcome(document: bytes):
+    try:
+        trace = read_trace(document)
+    except VmpTraceError as exc:
+        return type(exc), str(exc)
+    # repr keeps each Decimal's spelling, which == on the trace does not compare
+    return "trace", repr(trace)
+
+
+_MUTATION_DOCUMENTS = [
+    trace_to_bytes(fixture_trace(FixtureId.ENV_0_1)),
+    _FIXTURE_DOCUMENT,
+    trace_to_bytes(generate(dataclasses.replace(
+        default_config(env_from_coords(3, 3), seed=2, horizon=5, guarantee_dynamics=True),
+        vertical_policy=VerticalPolicy(p_step=0.5, precision=2),
+    ))),
+]
+_LITERALS = [
+    "true", "false", "null", "5", "5.0", "2.50", "0", "-0", "-0.0", "-5", '"5"', "[5]", "NaN", "Infinity",
+    "1e999999999", "-1e28", "1e28", "1e-999999999", str(10**30 + 1), "0.1234567890123456789012345678",
+]
+
+
+@st.composite
+def _mutated_sample_documents(draw):
+    lines = draw(st.sampled_from(_MUTATION_DOCUMENTS)).decode("utf-8").splitlines()
+    sample_lines = [i for i, line in enumerate(lines) if '"type":"sample"' in line]
+    for _ in range(draw(st.integers(1, 2))):
+        index = draw(st.sampled_from(sample_lines))
+        # '"key":literal' pairs; no literal here holds a comma
+        fields = [item.split(":", 1) for item in lines[index][1:-1].split(",")]
+        mutation = draw(st.sampled_from(["value", "value", "value", "missing", "extra", "shuffle"]))
+        position = draw(st.integers(1, len(fields) - 1))
+        if mutation == "value":
+            fields[position] = [fields[position][0], draw(st.sampled_from(_LITERALS))]
+        elif mutation == "missing":
+            del fields[position]
+        elif mutation == "extra":
+            fields.insert(position, ['"extra"', "1"])
+        else:
+            fields = draw(st.permutations(fields))
+        lines[index] = "{" + ",".join(f"{key}:{text}" for key, text in fields) + "}"
+    return _doc_from_lines(lines)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_mutated_sample_documents())
+def test_mutated_sample_lines_read_as_the_field_by_field_parser_reads_them(document):
+    fast = _read_outcome(document)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_parse_sample", _reference_parse_sample)
+        reference = _read_outcome(document)
+    assert fast == reference
