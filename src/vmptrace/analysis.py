@@ -21,7 +21,7 @@ immutable trace and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from itertools import pairwise
 
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
@@ -567,22 +567,37 @@ class StatsSeries:
         return "\n".join(lines) + "\n"
 
 
+# the default context (28 digits), with a rounded sum an error instead of silent
+_EXACT_SUMS = Context(prec=28)
+_EXACT_SUMS.traps[Inexact] = True
+
+
 def stats(trace: Trace, *, ratio_places: int = 4) -> StatsSeries:
     """Per-(datacenter, tick) totals of requested and utilized resources.
 
-    Sums are exact; each utilized/requested ratio is quantized half-even to
-    ``ratio_places`` decimal places and absent where the requested total is
-    zero. Every (dc, t) cell of the horizon appears, including empty ones.
+    Sums are exact: a cell whose total needs more than 28 significant digits
+    is a ValidationError naming the cell. Each utilized/requested ratio is
+    quantized half-even to ``ratio_places`` decimal places, an integer in
+    [0, 27], and absent where the requested total is zero. Every (dc, t) cell
+    of the horizon appears, including empty ones.
     """
+    if not isinstance(ratio_places, int) or isinstance(ratio_places, bool) or not 0 <= ratio_places <= 27:
+        raise ValidationError(f"ratio_places must be an integer in [0, 27], got {ratio_places!r}")
     totals: dict[tuple[int, int], list[Decimal]] = {}
-    for sample in trace.samples:
-        cell = totals.setdefault((sample.dc_id, sample.t), [Decimal(0)] * 6)
-        cell[0] += sample.spec.vcpu
-        cell[1] += sample.spec.vram
-        cell[2] += sample.spec.vnet
-        cell[3] += sample.util.ucpu
-        cell[4] += sample.util.uram
-        cell[5] += sample.util.unet
+    try:
+        with localcontext(_EXACT_SUMS):
+            for sample in trace.samples:
+                cell = totals.setdefault((sample.dc_id, sample.t), [Decimal(0)] * 6)
+                cell[0] += sample.spec.vcpu
+                cell[1] += sample.spec.vram
+                cell[2] += sample.spec.vnet
+                cell[3] += sample.util.ucpu
+                cell[4] += sample.util.uram
+                cell[5] += sample.util.unet
+    except Inexact:
+        raise ValidationError(
+            f"stats cell (dc {sample.dc_id}, t {sample.t}): a total cannot be summed exactly in 28 significant digits"
+        ) from None
 
     quantum = Decimal(1).scaleb(-ratio_places)
 
@@ -596,8 +611,8 @@ def stats(trace: Trace, *, ratio_places: int = 4) -> StatsSeries:
         for t in range(trace.header.horizon):
             cell = totals.get((dc_id, t), [Decimal(0)] * 6)
             vm_count = len(dc_population(trace, dc_id, t))
-            rows.append(
-                StatsRow(
+            try:
+                row = StatsRow(
                     dc_id=dc_id,
                     t=t,
                     vm_count=vm_count,
@@ -611,5 +626,10 @@ def stats(trace: Trace, *, ratio_places: int = 4) -> StatsSeries:
                     ram_ratio=ratio(cell[4], cell[1]),
                     net_ratio=ratio(cell[5], cell[2]),
                 )
-            )
+            except InvalidOperation:
+                raise ValidationError(
+                    f"stats cell (dc {dc_id}, t {t}): a utilized/requested ratio cannot be quantized to "
+                    f"{ratio_places} places in 28 significant digits"
+                ) from None
+            rows.append(row)
     return StatsSeries(horizon=trace.header.horizon, num_datacenters=trace.header.num_datacenters, rows=tuple(rows))

@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from itertools import pairwise
 
 from .analysis import network_gap, server_gap, spec_changed
@@ -645,17 +645,30 @@ def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
     util = full_utilization(spec)
     record.samples = [VmSample(*desc.key, t=desc.t_init, spec=spec, util=util)]
     for t in range(desc.t_init + 1, desc.t_end):
-        if caps.vertical:
-            spec = evolve_vertical(record.spec_stream, spec, config.vertical_policy)
-        util = evolve_utilization(
-            util_stream,
-            util,
-            spec,
-            config.utilization_policy,
-            server=caps.server_overbooking,
-            network=caps.network_overbooking,
-        )
+        try:
+            if caps.vertical:
+                spec = evolve_vertical(record.spec_stream, spec, config.vertical_policy)
+            util = evolve_utilization(
+                util_stream,
+                util,
+                spec,
+                config.utilization_policy,
+                server=caps.server_overbooking,
+                network=caps.network_overbooking,
+            )
+        except (InvalidOperation, ValidationError):
+            # a step's quantize needed more digits than the decimal context
+            # holds, or a walk reached a value as_quantity refuses
+            raise _domain_error(desc.key, t) from None
         record.samples.append(VmSample(*desc.key, t=t, spec=spec, util=util))
+
+
+def _domain_error(key: tuple[int, int, int], t: int) -> ConfigError:
+    return ConfigError(
+        f"VM {key} at t={t}: a generated quantity leaves the quantity domain (below 10**28, at most "
+        "28 significant digits); narrow the sizing ranges, vertical_policy.magnitude or precision, "
+        "or the utilization_policy steps"
+    )
 
 
 def _inject_missing_dynamics(caps, records: dict[tuple[int, int, int], _VmRecord]) -> None:
@@ -672,7 +685,10 @@ def _inject_missing_dynamics(caps, records: dict[tuple[int, int, int], _VmRecord
             )
         for i, sample in enumerate(host.samples[1:], start=1):
             spec, util = sample.spec, sample.util
-            bumped = ResourceSpec(vcpu=spec.vcpu + 1, vram=spec.vram, vnet=spec.vnet)
+            try:
+                bumped = ResourceSpec(vcpu=spec.vcpu + 1, vram=spec.vram, vnet=spec.vnet)
+            except ValidationError:
+                raise _domain_error(sample.vm_key, sample.t) from None
             host.samples[i] = replace(
                 sample,
                 spec=bumped,

@@ -57,12 +57,26 @@ class SplitMix64:
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > 2**64:
+            return lo + self._wide_below(span)
         # rejection sampling: draw again in the biased tail of the 64-bit range
         limit = (2**64 // span) * span
         while True:
             value = self.next_u64()
             if value < limit:
                 return lo + value % span
+
+    def _wide_below(self, span: int) -> int:
+        """Uniform integer in [0, span) for a span past 64 bits: rejection
+        sampling over as many 64-bit words, most significant first, as cover it."""
+        words = -(-span.bit_length() // 64)
+        limit = ((1 << (64 * words)) // span) * span
+        while True:
+            value = 0
+            for _ in range(words):
+                value = (value << 64) | self.next_u64()
+            if value < limit:
+                return value % span
 
     def chance(self, p: float) -> bool:
         """True with probability p."""

@@ -15,17 +15,26 @@ events, so a document needs no separate descriptor lines.
 
 Every quantity must lie in the domain ``model.as_quantity`` accepts, the
 values ``quantity_text`` renders exactly; one outside it is a ParseError on
-its line. Reading may share one Decimal between equal integer quantities of
-a document; object identity is not part of the API. A quantity spelled with
-a fraction, such as ``5.0``, keeps its own Decimal and spelling.
+its line, and so is an integer literal too long for Python to convert.
+
+A sample line spelled exactly as the writer spells it is read without JSON
+decoding: one pattern match yields its field texts, and each distinct
+quantity text and each distinct spec or utilization triple of a document is
+checked and built once. Samples that repeat a value may therefore share one
+Decimal, ResourceSpec or UtilizationSample; object identity is not part of
+the API. Any other line, such as one spelling a quantity ``5.0`` or ``-0``,
+or with reordered keys or whitespace, is decoded as JSON and checked field
+by field: it reads to the same values, each Decimal keeping its spelling,
+and fails with the same message.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from itertools import islice
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, le
 
 from .environments import env_from_coords
 from .errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError
@@ -49,10 +58,30 @@ CSV_COLUMNS = ("t", "service", "dc", "vm", "vcpu", "vram", "vnet", "ucpu", "uram
 
 _HEADER_KEYS = ("type", "format_version", "environment", "horizon", "num_datacenters", "sla_levels", "seed", "config_digest")
 _SAMPLE_KEYS = ("type", *CSV_COLUMNS)
-_SAMPLE_KEY_SET = frozenset(_SAMPLE_KEYS)
-_sample_fields = itemgetter(*CSV_COLUMNS)
 # a sample line is the CSV row's fields, each a JSON number, under their keys
 _SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name in CSV_COLUMNS)]) + "}}"
+# matches the lines _SAMPLE_LINE writes, or returns None. Ids take JSON's
+# integer spelling with at most 20 digits, quantities quantity_text's spelling
+# with an integer part of at most 28 digits and a fraction of at most 40
+# ending in a non-zero digit. The groups are t, service, dc, vm, the
+# '"vcpu":..,"vram":..,"vnet":..' and '"ucpu":..,"uram":..,"unet":..' texts,
+# revenue and sla.
+_ID_TEXT = "(0|[1-9][0-9]{0,19})"
+_QUANTITY_TEXT = r"(?:0|[1-9][0-9]{0,27})(?:\.[0-9]{0,39}[1-9])?"
+
+
+def _fields_pattern(names, value: str) -> str:
+    return ",".join(f'"{name}":{value}' for name in names)
+
+
+_scan_sample = re.compile(
+    re.escape('{"type":"sample",')
+    + _fields_pattern(CSV_COLUMNS[:4], _ID_TEXT)
+    + f",({_fields_pattern(CSV_COLUMNS[4:7], _QUANTITY_TEXT)})"
+    + f",({_fields_pattern(CSV_COLUMNS[7:10], _QUANTITY_TEXT)})"
+    + f',"revenue":({_QUANTITY_TEXT}),"sla":{_ID_TEXT}'
+    + re.escape("}")
+).fullmatch
 # one decoder for every line; json.loads(..., parse_float=Decimal) builds a new one per call
 _DECODER = json.JSONDecoder(parse_float=Decimal)
 
@@ -114,24 +143,27 @@ def _event_line(event: TraceEvent) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-class _QuantityTexts(dict):
-    """quantity_text of each distinct quantity, rendered on first use.
+class _Shared(dict):
+    """One value per distinct key, made by ``make`` on first use."""
 
-    Exact because the text depends only on the value, and equal Decimals
-    share a key: 5 and 5.0 both render "5". The one exception, -0, is never
-    held by the model, whose quantities go through as_quantity.
-    """
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
 
-    def __missing__(self, value: Decimal) -> str:
-        text = self[value] = quantity_text(value)
-        return text
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _sample_rows(trace: Trace):
     """Each sample's fields rendered as text, in CSV_COLUMNS order; revenue
     and SLA level come from the sample's descriptor."""
     by_key = trace.descriptor_map()
-    texts = _QuantityTexts()
+    # rendered once per distinct quantity: exact because the text depends only
+    # on the value, and equal Decimals share a key (5 and 5.0 both render
+    # "5"). The one exception, -0, is never held by the model, whose
+    # quantities go through as_quantity.
+    texts = _Shared(quantity_text)
     for sample in trace.samples:
         descriptor = by_key.get(sample.vm_key)
         if descriptor is None:
@@ -195,6 +227,9 @@ def _load_line(line: str, line_number: int) -> dict:
         value = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", line_number) from None
+    except ValueError as exc:
+        # int() refuses a literal past sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal too long ({exc})", line_number) from None
     if not isinstance(value, dict):
         raise ParseError(f"expected a JSON object, got {type(value).__name__}", line_number)
     return value
@@ -267,40 +302,8 @@ def _parse_event(obj: dict, line_number: int) -> TraceEvent:
         raise ParseError(str(exc), line_number) from None
 
 
-class _SharedDecimals(dict):
-    """One Decimal per distinct JSON integer quantity, made on first use."""
-
-    def __missing__(self, value: int) -> Decimal:
-        decimal = self[value] = Decimal(value)
-        return decimal
-
-
-def _parse_sample(obj: dict, line_number: int, shared: _SharedDecimals) -> tuple[VmSample, Decimal | int, int]:
-    """A sample line's VmSample, revenue and SLA level.
-
-    A line with exactly the sample keys, integer ids and int or Decimal
-    quantities (what the writer emits) takes the fast path: one type test per
-    field, integer quantities taken from ``shared``. Any other line is checked
-    field by field, so it fails with the same message in the same order.
-    Both paths build the sample through the model constructors.
-    """
-    if obj.keys() == _SAMPLE_KEY_SET:
-        t, service, dc, vm, *quantities, sla = _sample_fields(obj)
-        if type(t) is type(service) is type(dc) is type(vm) is type(sla) is int:
-            vcpu, vram, vnet, ucpu, uram, unet, revenue = [shared[q] if type(q) is int else q for q in quantities]
-            if type(vcpu) is type(vram) is type(vnet) is type(ucpu) is type(uram) is type(unet) is type(revenue) is Decimal:
-                try:
-                    spec = ResourceSpec(vcpu, vram, vnet)
-                    util = UtilizationSample(ucpu, uram, unet)
-                    sample = VmSample(service, dc, vm, t, spec, util)
-                    _check_revenue(revenue)
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line_number) from None
-                return sample, revenue, sla
-    return _parse_sample_fields(obj, line_number)
-
-
-def _parse_sample_fields(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int, int]:
+def _parse_sample(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int, int]:
+    """A decoded sample line's VmSample, revenue and SLA level, checked field by field."""
     _check_keys(obj, _SAMPLE_KEYS, _SAMPLE_KEYS, line_number)
     try:
         sample = VmSample(
@@ -321,17 +324,42 @@ def _parse_sample_fields(obj: dict, line_number: int) -> tuple[VmSample, Decimal
         )
         revenue = _field_quantity(obj, "revenue", line_number)
         sla = _field_int(obj, "sla", line_number)
-        _check_revenue(revenue)
+        # a revenue outside the quantity domain is refused on its own line; a
+        # negative one is refused per VM, after the revenues of its samples are compared
+        if revenue >= 0:
+            as_quantity(revenue)
     except ValidationError as exc:
         raise ParseError(str(exc), line_number) from None
     return sample, revenue, sla
 
 
-def _check_revenue(revenue: Decimal | int) -> None:
-    # a revenue outside the quantity domain is refused on its own line; a
-    # negative one is refused per VM, after the revenues of its samples are compared
-    if revenue >= 0:
-        as_quantity(revenue)
+class _ScannedSamples:
+    """Builds the sample of a line ``_scan_sample`` accepted, from per-document
+    tables: one checked Decimal per distinct quantity text, and one
+    ResourceSpec or UtilizationSample per distinct text of three quantities.
+
+    The checks run in the order ``_parse_sample`` runs them (spec, then
+    utilization, then ids, then revenue), so a line fails with the same
+    message on either path.
+    """
+
+    def __init__(self):
+        quantities = self.quantities = _Shared(lambda text: as_quantity(Decimal(text)))
+
+        def values(text: str) -> list[Decimal]:
+            # '"vcpu":8,"vram":16,"vnet":150' -> the three checked quantities
+            return [quantities[item.partition(":")[2]] for item in text.split(",")]
+
+        self.specs = _Shared(lambda text: ResourceSpec(*values(text)))
+        self.utils = _Shared(lambda text: UtilizationSample(*values(text)))
+
+    def parse(self, fields: tuple[str, ...], line_number: int) -> tuple[VmSample, Decimal, int]:
+        t, service, dc, vm, spec, util, revenue, sla = fields
+        try:
+            sample = VmSample(int(service), int(dc), int(vm), int(t), self.specs[spec], self.utils[util])
+            return sample, self.quantities[revenue], int(sla)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_number) from None
 
 
 def _source_text(source) -> str:
@@ -376,27 +404,32 @@ def read_trace(source) -> Trace:
 
     events: list[TraceEvent] = []
     samples: dict[tuple[int, int, int, int], tuple[VmSample, Decimal | int, int]] = {}
-    shared = _SharedDecimals()
+    scanned = _ScannedSamples()
     for index, line in enumerate(lines[1:], start=2):
-        if line == "":
+        match = _scan_sample(line)
+        if match is not None:
+            sample, revenue, sla = scanned.parse(match.groups(), index)
+        elif line == "":
             raise ParseError("blank line", index)
-        obj = _load_line(line, index)
-        line_type = obj.get("type")
-        if line_type == "header":
-            raise ParseError("duplicate header line", index)
-        if line_type == "event":
-            events.append(_parse_event(obj, index))
-        elif line_type == "sample":
-            sample, revenue, sla = _parse_sample(obj, index, shared)
-            key = (sample.t, sample.service_id, sample.dc_id, sample.vm_index)
-            if key in samples:
-                raise IntegrityError(
-                    f"duplicate sample for VM {sample.vm_key} at t={sample.t} (line {index})"
-                )
-            samples[key] = (sample, revenue, sla)
         else:
-            raise ParseError(f"unknown line type {line_type!r}", index)
+            obj = _load_line(line, index)
+            line_type = obj.get("type")
+            if line_type == "header":
+                raise ParseError("duplicate header line", index)
+            if line_type == "event":
+                events.append(_parse_event(obj, index))
+                continue
+            if line_type != "sample":
+                raise ParseError(f"unknown line type {line_type!r}", index)
+            sample, revenue, sla = _parse_sample(obj, index)
+        key = (sample.t, sample.service_id, sample.dc_id, sample.vm_index)
+        if key in samples:
+            raise IntegrityError(f"duplicate sample for VM {sample.vm_key} at t={sample.t} (line {index})")
+        samples[key] = (sample, revenue, sla)
 
+    # the document text and the per-document tables are done with; freed
+    # here, they make room for the descriptors instead of adding to the peak
+    del text, lines, scanned
     descriptors = _reconstruct_descriptors(events, samples)
     # built once, already canonical: descriptors come out in key order, and a
     # sample's dict key is its sort key

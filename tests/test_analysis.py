@@ -383,6 +383,48 @@ def test_stats_ratio_precision_is_configurable():
     assert row.cpu_ratio == Decimal("1.08")
 
 
+def _with_cell_cpu(trace: Trace, vcpus: tuple, ucpus: tuple) -> Trace:
+    """The trace with the requested and used CPU of cell (dc 1, t 0)'s samples
+    set, in sample order."""
+    vcpu, ucpu = iter(vcpus), iter(ucpus)
+    samples = []
+    for sample in trace.samples:
+        if (sample.dc_id, sample.t) == (1, 0):
+            spec = dataclasses.replace(sample.spec, vcpu=next(vcpu))
+            sample = dataclasses.replace(sample, spec=spec, util=dataclasses.replace(sample.util, ucpu=next(ucpu)))
+        samples.append(sample)
+    return Trace(trace.header, trace.descriptors, trace.events, tuple(samples))
+
+
+def test_stats_sums_that_cannot_be_exact_name_their_cell():
+    trace = fixture_trace(FixtureId.ENV_0_1)
+    fits = (10**27, 5)
+    assert stats(_with_cell_cpu(trace, fits, fits)).rows[0].vcpu == 10**27 + 5
+    # 10**27 + 0.001 needs 31 significant digits
+    exceeds = (10**27, Decimal("0.001"))
+    with pytest.raises(ValidationError) as excinfo:
+        stats(_with_cell_cpu(trace, exceeds, exceeds))
+    assert str(excinfo.value) == "stats cell (dc 1, t 0): a total cannot be summed exactly in 28 significant digits"
+
+
+def test_stats_ratio_places_out_of_range_is_a_validation_error():
+    trace = fixture_trace(FixtureId.ENV_0_1)
+    assert stats(trace, ratio_places=0).rows[1].cpu_ratio == Decimal(1)
+    assert stats(trace, ratio_places=27).rows[1].cpu_ratio == Decimal("1.076923076923076923076923077")
+    for places in (-1, 28, 40, True, 4.0, "4"):
+        with pytest.raises(ValidationError, match="ratio_places must be an integer in \\[0, 27\\]"):
+            stats(trace, ratio_places=places)
+
+
+def test_stats_ratio_too_large_to_quantize_names_its_cell():
+    trace = _with_cell_cpu(fixture_trace(FixtureId.ENV_0_1), (1, 1), (10**27, 1))
+    with pytest.raises(ValidationError) as excinfo:
+        stats(trace)
+    assert str(excinfo.value) == (
+        "stats cell (dc 1, t 0): a utilized/requested ratio cannot be quantized to 4 places in 28 significant digits"
+    )
+
+
 def test_report_serialization_shapes():
     report = validate(fixture_trace(FixtureId.ENV_0_1), mode=MODE_STRICT)
     payload = report.to_json_dict()

@@ -134,6 +134,23 @@ def test_invalid_config_json_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_with_an_integer_literal_too_long_to_convert_is_a_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "long.json"
+    config_path.write_text('{"environment": [0, 0], "seed": ' + "1" * 5000 + "}")
+    assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+    assert f"error: config {config_path} holds an integer literal too long to read: " in capsys.readouterr().err
+
+
+def test_trace_with_an_integer_literal_too_long_to_convert_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "long.vmpt.jsonl"
+    assert _run(["fixture", "--id", "0,1", "--out", str(path)]) == EXIT_OK
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"t":0', '"t":' + "1" * 5000)
+    path.write_text("\n".join(lines) + "\n")
+    assert _run(["validate", "--in", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: line 2: integer literal too long (")
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     config_path = tmp_path / "odd.json"
     config_path.write_text(json.dumps({"environment": [0, 0], "bogus": 1}))

@@ -6,10 +6,11 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmptrace.analysis import classify, validate
 from vmptrace.environments import enumerate_environments, env_from_coords
-from vmptrace.errors import ConfigError
+from vmptrace.errors import ConfigError, VmpTraceError
 from vmptrace.generator import (
     ArrivalModel,
     GeneratorConfig,
@@ -367,6 +368,94 @@ def test_largest_quantity_ranges_generate_renderable_traces():
     assert read_trace(trace_to_bytes(trace)) == trace
     with pytest.raises(ConfigError, match=r"sizing.vcpu upper bound must be < 10\*\*28"):
         check_config(dataclasses.replace(config, sizing=SizingRanges(vcpu=(1, 10**28))))
+
+
+_NEAR_LIMIT = (10**28 - 1, 10**28 - 1)
+
+
+@pytest.mark.parametrize(
+    "environment, replacements",
+    [
+        # a quantize to 30 places needs more than the context's 28 digits
+        ((2, 0), dict(vertical_policy=VerticalPolicy(p_step=1.0, precision=30))),
+        # a step compounds past 10**28
+        ((2, 0), dict(vertical_policy=VerticalPolicy(p_step=1.0), sizing=SizingRanges(vcpu=_NEAR_LIMIT))),
+        # the walk may reach twice a request near 10**28
+        ((0, 1), dict(
+            sizing=SizingRanges(vcpu=_NEAR_LIMIT),
+            utilization_policy=UtilizationPolicy(cpu_step=(10**27, 10**27), allow_exceed_request=True),
+        )),
+        # the guarantee_dynamics resize bumps vcpu by one
+        ((2, 0), dict(
+            vertical_policy=VerticalPolicy(p_step=0.0), sizing=SizingRanges(vcpu=_NEAR_LIMIT), guarantee_dynamics=True,
+        )),
+    ],
+)
+def test_a_generated_quantity_leaving_the_domain_is_a_config_error(environment, replacements):
+    config = dataclasses.replace(default_config(env_from_coords(*environment), seed=3), **replacements)
+    check_config(config)
+    with pytest.raises(ConfigError, match=r"^VM \(\d+, \d+, \d+\) at t=\d+: a generated quantity leaves the quantity domain"):
+        generate(config)
+
+
+def _ordered_pair(values):
+    return st.lists(st.sampled_from(values), min_size=2, max_size=2).map(lambda pair: tuple(sorted(pair)))
+
+
+_EXTREME_QUANTITIES = [0, 1, 7, 10**14, 10**27, 10**28 - 2, 10**28 - 1]
+
+
+@st.composite
+def _accepted_configs(draw):
+    """Small horizons and populations with sizing, precision, magnitude and
+    step ranges out to the limits check_config accepts."""
+    config = GeneratorConfig(
+        environment=env_from_coords(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+        horizon=draw(st.integers(1, 4)),
+        num_datacenters=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        arrival=ArrivalModel(rate=draw(st.sampled_from([0.0, 0.5, 1.0])), force_first=draw(st.booleans())),
+        service_shape=ServiceShape(vms_per_dc=(1, draw(st.integers(1, 2))), lifetime=(1, draw(st.integers(1, 4)))),
+        sizing=SizingRanges(
+            vcpu=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            vram=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            vnet=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            revenue=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            sla=(1, draw(st.integers(1, 3))),
+        ),
+        vertical_policy=VerticalPolicy(
+            p_step=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            magnitude=draw(_ordered_pair([0.0, 0.1, 0.5, 1.0, 3.0, 1e10, 1e300, float("inf")])),
+            vary_net=draw(st.booleans()),
+            precision=draw(st.sampled_from([0, 1, 3, 20, 26, 27, 28, 30, 100])),
+        ),
+        horizontal_policy=HorizontalPolicy(p_scale=draw(st.sampled_from([0.0, 0.5, 1.0])), min_vms=1, max_vms=draw(st.integers(1, 3))),
+        utilization_policy=UtilizationPolicy(
+            cpu_step=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            ram_step=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            net_step=draw(_ordered_pair(_EXTREME_QUANTITIES)),
+            allow_exceed_request=draw(st.booleans()),
+        ),
+        guarantee_dynamics=draw(st.booleans()),
+    )
+    try:
+        check_config(config)
+    except ConfigError:
+        # a guarantee the sizing cannot meet; the same config without it is accepted
+        config = dataclasses.replace(config, guarantee_dynamics=False)
+        check_config(config)
+    return config
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_accepted_configs())
+def test_every_accepted_config_generates_or_raises_a_package_error(config):
+    try:
+        trace = generate(config)
+    except VmpTraceError:
+        return
+    document = trace_to_bytes(trace)
+    assert read_trace(document) == trace
 
 
 def test_burst_arrivals_allow_rates_above_one():

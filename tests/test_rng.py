@@ -68,6 +68,17 @@ def test_randint_is_inclusive_and_covers_both_bounds():
     assert SplitMix64(5).randint(9, 9) == 9
 
 
+def test_randint_covers_spans_past_64_bits():
+    # one 64-bit draw cannot cover such a span; a rejection limit computed
+    # from it alone is 0 and never accepts
+    stream = SplitMix64(5)
+    values = [stream.randint(1, 10**28) for _ in range(200)]
+    assert all(1 <= value <= 10**28 for value in values)
+    assert max(values) > 2**64 and len(set(values)) == 200
+    # a span of exactly 2**64 still takes one draw per value
+    assert SplitMix64(5).randint(0, 2**64 - 1) == SplitMix64(5).next_u64()
+
+
 def test_uniform_respects_its_bounds():
     stream = SplitMix64(13)
     for _ in range(2000):

@@ -4,10 +4,11 @@ import dataclasses
 import io
 import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vmptrace import traceio
 from vmptrace.environments import env_from_coords
@@ -349,6 +350,31 @@ def test_writers_render_each_distinct_quantity_once(monkeypatch):
     assert len(rendered) == len(distinct)
 
 
+def test_reader_checks_each_distinct_quantity_and_triple_once(monkeypatch):
+    trace = generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+    document = trace_to_bytes(trace)
+    rows = [
+        json.loads(line, parse_int=str, parse_float=str)
+        for line in document.decode("utf-8").splitlines()
+        if '"type":"sample"' in line
+    ]
+    texts = {row[name] for row in rows for name in CSV_COLUMNS[4:11]}
+    spec_triples = {(row["vcpu"], row["vram"], row["vnet"]) for row in rows}
+    util_triples = {(row["ucpu"], row["uram"], row["unet"]) for row in rows}
+    assert len(spec_triples) < len(rows) and len(util_triples) < len(rows)
+    built = {"as_quantity": [], "ResourceSpec": [], "UtilizationSample": []}
+    for name, real in (("as_quantity", as_quantity), ("ResourceSpec", ResourceSpec), ("UtilizationSample", UtilizationSample)):
+        def counting(*args, name=name, real=real):
+            built[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(traceio, name, counting)
+    assert read_trace(document) == trace
+    assert sorted(value for (value,) in built["as_quantity"]) == sorted(map(Decimal, texts))
+    assert len(built["ResourceSpec"]) == len(spec_triples)
+    assert len(built["UtilizationSample"]) == len(util_triples)
+
+
 def test_reader_keeps_each_decimal_spelling():
     # 5 and 5.0 are equal but stats and reports print them as stored
     lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
@@ -421,8 +447,23 @@ def _mutated_bytes(document: bytes):
 _FIXTURE_DOCUMENT = trace_to_bytes(fixture_trace(FixtureId.ENV_1_0))
 
 
+# past sys.get_int_max_str_digits(), where int() raises a bare ValueError
+_LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize("line_type, field", [("header", "horizon"), ("event", "t"), ("sample", "vcpu")])
+def test_an_integer_literal_too_long_to_convert_is_a_parse_error(line_type, field):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_1_0))
+    index = next(i for i, line in enumerate(lines) if f'"type":"{line_type}"' in line)
+    lines[index] = re.sub(f'"{field}":[0-9]+', f'"{field}":{_LONG_INTEGER}', lines[index], count=1)
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines(lines))
+    assert str(excinfo.value).startswith(f"line {index + 1}: integer literal too long (")
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(st.one_of(st.binary(max_size=200), _mutated_bytes(_FIXTURE_DOCUMENT)))
+@example(_FIXTURE_DOCUMENT.replace(b'"vcpu":8', b'"vcpu":' + _LONG_INTEGER.encode(), 1))
 def test_read_trace_raises_only_package_errors_on_arbitrary_bytes(data):
     try:
         read_trace(data)
@@ -430,8 +471,8 @@ def test_read_trace_raises_only_package_errors_on_arbitrary_bytes(data):
         pass
 
 
-def _reference_parse_sample(obj, line_number, shared):
-    """The sample parser checked field by field, without the fast path."""
+def _reference_parse_sample(obj, line_number):
+    """The sample parser checked field by field, as traceio._parse_sample is."""
     traceio._check_keys(obj, traceio._SAMPLE_KEYS, traceio._SAMPLE_KEYS, line_number)
     try:
         sample = VmSample(
@@ -468,6 +509,16 @@ def _read_outcome(document: bytes):
     return "trace", repr(trace)
 
 
+def _read_outcomes(document: bytes):
+    """The reader's outcome, then the outcome with every line decoded as JSON
+    and read by the reference parser."""
+    outcome = _read_outcome(document)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_scan_sample", lambda line: None)
+        patch.setattr(traceio, "_parse_sample", _reference_parse_sample)
+        return outcome, _read_outcome(document)
+
+
 _MUTATION_DOCUMENTS = [
     trace_to_bytes(fixture_trace(FixtureId.ENV_0_1)),
     _FIXTURE_DOCUMENT,
@@ -479,6 +530,12 @@ _MUTATION_DOCUMENTS = [
 _LITERALS = [
     "true", "false", "null", "5", "5.0", "2.50", "0", "-0", "-0.0", "-5", '"5"', "[5]", "NaN", "Infinity",
     "1e999999999", "-1e28", "1e28", "1e-999999999", str(10**30 + 1), "0.1234567890123456789012345678",
+    # at the scanner's edges: the largest and the first too-large integer
+    # part, 28 integer digits with a fraction, an id at and past 20 digits, a
+    # fraction at and past 40 digits, a leading zero JSON refuses, and an
+    # integer past int()'s conversion limit
+    "9999999999999999999999999999", "10000000000000000000000000000", "9999999999999999999999999999.5",
+    "1" * 20, "1" * 21, "0." + "0" * 39 + "1", "0." + "0" * 40 + "1", "05", _LONG_INTEGER,
 ]
 
 
@@ -507,8 +564,56 @@ def _mutated_sample_documents(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(_mutated_sample_documents())
 def test_mutated_sample_lines_read_as_the_field_by_field_parser_reads_them(document):
-    fast = _read_outcome(document)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traceio, "_parse_sample", _reference_parse_sample)
-        reference = _read_outcome(document)
-    assert fast == reference
+    outcome, reference = _read_outcomes(document)
+    assert outcome == reference
+
+
+def _with_sample_fields(lines: list[str], **texts) -> bytes:
+    """The document with fields of its seventh line, a sample, spelled as given."""
+    record = json.loads(lines[6], parse_int=str, parse_float=str)
+    record.update(texts)
+    mutated = list(lines)
+    mutated[6] = "{" + ",".join(f'"{key}":{text}' if key != "type" else '"type":"sample"' for key, text in record.items()) + "}"
+    return _doc_from_lines(mutated)
+
+
+@pytest.mark.parametrize("literal", _LITERALS, ids=lambda literal: literal[:32])
+def test_each_literal_in_each_sample_field_reads_as_the_field_by_field_parser_reads_it(literal):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    for name in CSV_COLUMNS:
+        outcome, reference = _read_outcomes(_with_sample_fields(lines, **{name: literal}))
+        assert outcome == reference, name
+
+
+@pytest.mark.parametrize("first", CSV_COLUMNS)
+def test_a_line_with_two_bad_fields_fails_as_the_field_by_field_parser_fails(first):
+    # the first check to fail names the line's error, so both parsers must check in one order
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    bad = ("0", "9999999999999999999999999999.5")
+    for second in CSV_COLUMNS:
+        if second == first:
+            continue
+        for first_text in bad:
+            for second_text in bad:
+                outcome, reference = _read_outcomes(_with_sample_fields(lines, **{first: first_text, second: second_text}))
+                assert outcome == reference, (first_text, second, second_text)
+
+
+_LINE_EDITS = {
+    "trailing CR": lambda line: line + "\r",
+    "trailing space": lambda line: line + " ",
+    "leading space": lambda line: " " + line,
+    "BOM": lambda line: "\ufeff" + line,
+    "trailing brace": lambda line: line + "}",
+    "repeated key": lambda line: line[:-1] + ',"sla":1}',
+    "space after a colon": lambda line: line.replace('"type":"sample"', '"type": "sample"'),
+    "escaped key": lambda line: line.replace('"t":', '"\\u0074":'),
+}
+
+
+@pytest.mark.parametrize("edit", _LINE_EDITS)
+def test_edited_sample_lines_read_as_the_field_by_field_parser_reads_them(edit):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    lines[6] = _LINE_EDITS[edit](lines[6])
+    outcome, reference = _read_outcomes(_doc_from_lines(lines))
+    assert outcome == reference
