@@ -94,6 +94,8 @@ def handle_generate(args: argparse.Namespace) -> int:
             raise TraceIOError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid UTF-8: {exc}") from None
         except ValueError as exc:
             # int() refuses a literal past sys.get_int_max_str_digits()
             raise ConfigError(f"config {args.config} holds an integer literal too long to read: {exc}") from None

@@ -57,26 +57,16 @@ class SplitMix64:
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
-        if span > 2**64:
-            return lo + self._wide_below(span)
-        # rejection sampling: draw again in the biased tail of the 64-bit range
-        limit = (2**64 // span) * span
+        # rejection sampling: draw 64-bit words, most significant first, until
+        # their range covers the span (one word up to 2**64), and draw again
+        # in the biased tail of that range
         while True:
-            value = self.next_u64()
-            if value < limit:
-                return lo + value % span
-
-    def _wide_below(self, span: int) -> int:
-        """Uniform integer in [0, span) for a span past 64 bits: rejection
-        sampling over as many 64-bit words, most significant first, as cover it."""
-        words = -(-span.bit_length() // 64)
-        limit = ((1 << (64 * words)) // span) * span
-        while True:
-            value = 0
-            for _ in range(words):
+            value, bound = self.next_u64(), 1 << 64
+            while bound < span:
                 value = (value << 64) | self.next_u64()
-            if value < limit:
-                return value % span
+                bound <<= 64
+            if value < bound - bound % span:
+                return lo + value % span
 
     def chance(self, p: float) -> bool:
         """True with probability p."""

@@ -141,6 +141,15 @@ def test_config_with_an_integer_literal_too_long_to_convert_is_a_usage_error(tmp
     assert f"error: config {config_path} holds an integer literal too long to read: " in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "latin1.json"
+    config_path.write_bytes(b'{"environment": [0, 0], "note": "\xff"}')
+    assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config_path} is not valid UTF-8: ")
+    assert "too long" not in err
+
+
 def test_trace_with_an_integer_literal_too_long_to_convert_is_an_io_error(tmp_path, capsys):
     path = tmp_path / "long.vmpt.jsonl"
     assert _run(["fixture", "--id", "0,1", "--out", str(path)]) == EXIT_OK

@@ -68,6 +68,19 @@ def test_randint_is_inclusive_and_covers_both_bounds():
     assert SplitMix64(5).randint(9, 9) == 9
 
 
+def test_randint_draws_again_in_the_biased_tail():
+    # a span of 3 * 2**62 takes the draws below it as they are and rejects
+    # the quarter of the 64-bit range above it, which modulo would fold onto
+    # the low values
+    span = 3 * 2**62
+    stream, words = SplitMix64(8), SplitMix64(8)
+    for _ in range(200):
+        draw = words.next_u64()
+        while draw >= span:
+            draw = words.next_u64()
+        assert stream.randint(0, span - 1) == draw
+
+
 def test_randint_covers_spans_past_64_bits():
     # one 64-bit draw cannot cover such a span; a rejection limit computed
     # from it alone is 0 and never accepts
@@ -75,8 +88,11 @@ def test_randint_covers_spans_past_64_bits():
     values = [stream.randint(1, 10**28) for _ in range(200)]
     assert all(1 <= value <= 10**28 for value in values)
     assert max(values) > 2**64 and len(set(values)) == 200
-    # a span of exactly 2**64 still takes one draw per value
+    # a span of exactly 2**64 still takes one draw per value, and one of
+    # 2**128 two, most significant first
     assert SplitMix64(5).randint(0, 2**64 - 1) == SplitMix64(5).next_u64()
+    words = SplitMix64(5)
+    assert SplitMix64(5).randint(0, 2**128 - 1) == (words.next_u64() << 64) | words.next_u64()
 
 
 def test_uniform_respects_its_bounds():
