@@ -17,7 +17,8 @@ splitmix64 stream derived from the master seed and an integer path:
 * ``(3, b)`` service b's scale decisions: one action draw per alive tick;
 * ``(4, b, c, j)`` VM constants and spec series: vcpu, vram, vnet, revenue,
   sla, then the per-tick vertical steps;
-* ``(5, b, c, j)`` the VM's utilization walk.
+* ``(5, b, c, j)`` the VM's utilization walk, derived only when an
+  overbooking class is enabled.
 
 Per-VM streams keep a VM's numbers stable when unrelated knobs change: e.g.
 toggling the utilization policy never alters any requested-resource series.
@@ -30,7 +31,8 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
-from itertools import pairwise
+from functools import cached_property
+from itertools import chain, pairwise
 
 from .analysis import network_gap, server_gap, spec_changed
 from .environments import EnvironmentId, capabilities, env_from_coords
@@ -104,6 +106,11 @@ class VerticalPolicy:
     magnitude: tuple[float, float] = (0.1, 0.4)
     vary_net: bool = False
     precision: int = 0
+
+    @cached_property
+    def quantum(self) -> Decimal:
+        """The unit a step rounds to, ``10**-precision``."""
+        return Decimal(1).scaleb(-self.precision)
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,8 @@ def check_config(config: GeneratorConfig) -> None:
     )
     if not ok or not 0 <= mag[0] <= mag[1]:
         raise ConfigError(f"vertical_policy.magnitude must be a pair 0 <= lo <= hi, got {mag!r}")
+    if mag[1] == math.inf:
+        raise ConfigError(f"vertical_policy.magnitude upper bound must be finite, got {mag!r}")
     if not isinstance(vertical.precision, int) or isinstance(vertical.precision, bool) or vertical.precision < 0:
         raise ConfigError(f"vertical_policy.precision must be an integer >= 0, got {vertical.precision!r}")
 
@@ -274,11 +283,14 @@ def evolve_vertical(rng: SplitMix64, spec: ResourceSpec, policy: VerticalPolicy)
     magnitude range with a uniform sign, rounded half-even to the policy
     precision, and clamped to at least one unit. Zero-valued components
     never step (a multiplicative step cannot move them). Network bandwidth
-    is varied only when the policy says so.
+    is varied only when the policy says so. When no component steps, the
+    input spec itself is returned.
     """
     vcpu = _step_spec_component(rng, spec.vcpu, policy)
     vram = _step_spec_component(rng, spec.vram, policy)
     vnet = _step_spec_component(rng, spec.vnet, policy) if policy.vary_net else spec.vnet
+    if vcpu is spec.vcpu and vram is spec.vram and vnet is spec.vnet:
+        return spec
     return ResourceSpec(vcpu, vram, vnet)
 
 
@@ -291,8 +303,7 @@ def _step_spec_component(rng: SplitMix64, value: Decimal, policy: VerticalPolicy
     if rng.chance(0.5):
         magnitude = -magnitude
     factor = Decimal(1) + Decimal(repr(magnitude))
-    quantum = Decimal(1).scaleb(-policy.precision)
-    stepped = (value * factor).quantize(quantum, rounding=ROUND_HALF_EVEN)
+    stepped = (value * factor).quantize(policy.quantum, rounding=ROUND_HALF_EVEN)
     return max(stepped, SPEC_FLOOR)
 
 
@@ -338,17 +349,18 @@ def evolve_utilization(
     Enabled classes take a signed integer step from the previous value,
     clamped to [0, request] (or [0, 2x request] when allow_exceed_request).
     Disabled classes snap to the request: utilization is accounted at 100%
-    when that class of overbooking is not supported.
+    when that class of overbooking is not supported. When no component
+    changes, ``prev`` itself is returned.
     """
+    allow_exceed = policy.allow_exceed_request
     if server:
-        ucpu = _walk(rng, prev.ucpu, spec.vcpu, policy.cpu_step, policy.allow_exceed_request)
-        uram = _walk(rng, prev.uram, spec.vram, policy.ram_step, policy.allow_exceed_request)
+        ucpu = _walk(rng, prev.ucpu, spec.vcpu, policy.cpu_step, allow_exceed)
+        uram = _walk(rng, prev.uram, spec.vram, policy.ram_step, allow_exceed)
     else:
         ucpu, uram = spec.vcpu, spec.vram
-    if network:
-        unet = _walk(rng, prev.unet, spec.vnet, policy.net_step, policy.allow_exceed_request)
-    else:
-        unet = spec.vnet
+    unet = _walk(rng, prev.unet, spec.vnet, policy.net_step, allow_exceed) if network else spec.vnet
+    if ucpu is prev.ucpu and uram is prev.uram and unet is prev.unet:
+        return prev
     return UtilizationSample(ucpu, uram, unet)
 
 
@@ -359,11 +371,14 @@ def _walk(
     step_range: tuple[int, int],
     allow_exceed: bool,
 ) -> Decimal:
-    step = Decimal(rng.randint(step_range[0], step_range[1]))
-    if rng.chance(0.5):
-        step = -step
+    """One component's signed step, clamped to [0, cap]; a zero step that
+    stays within the cap returns ``prev`` itself."""
+    step = rng.randint(step_range[0], step_range[1])
+    negative = rng.chance(0.5)
     cap = bound * 2 if allow_exceed else bound
-    value = prev + step
+    if not step and prev <= cap:
+        return prev
+    value = prev - step if negative else prev + step
     if value < 0:
         return Decimal(0)
     if value > cap:
@@ -464,11 +479,11 @@ def sample_service(
 @dataclass
 class _VmRecord:
     """A VM being generated: its descriptor, its spec stream positioned past
-    the constants, its initial spec, and, once filled, one sample per alive
-    tick in tick order."""
+    the constants (until the series is filled), its initial spec, and, once
+    filled, one sample per alive tick in tick order."""
 
     descriptor: VmDescriptor
-    spec_stream: SplitMix64
+    spec_stream: SplitMix64 | None
     spec: ResourceSpec
     samples: list[VmSample] = field(default_factory=list)
 
@@ -573,10 +588,15 @@ def generate(config: GeneratorConfig) -> Trace:
     if config.guarantee_dynamics:
         _inject_missing_dynamics(caps, records)
 
-    samples = [sample for record in records.values() for sample in record.samples]
-    samples.sort(key=lambda s: s.sort_key)
+    # canonical sample order is (t, VM key): bucket by tick, VMs in key order
+    ordered = [records[key] for key in sorted(records)]
+    by_tick: list[list[VmSample]] = [[] for _ in range(horizon)]
+    for record in ordered:
+        for sample in record.samples:
+            by_tick[sample.t].append(sample)
+    samples = tuple(chain.from_iterable(by_tick))
     events.sort(key=lambda e: e.sort_key)
-    descriptors = sorted((record.descriptor for record in records.values()), key=lambda d: d.key)
+    descriptors = tuple(record.descriptor for record in ordered)
     header = TraceHeader(
         environment=config.environment,
         horizon=horizon,
@@ -585,7 +605,7 @@ def generate(config: GeneratorConfig) -> Trace:
         seed=config.seed,
         config_digest=config_digest(config),
     )
-    return Trace(header=header, descriptors=tuple(descriptors), events=tuple(events), samples=tuple(samples))
+    return Trace(header=header, descriptors=descriptors, events=tuple(events), samples=samples)
 
 
 def _scale_out(
@@ -639,28 +659,37 @@ def _scale_in(
 
 
 def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
+    """One sample per alive tick. A spec or utilization that does not change
+    is the previous tick's object, not a rebuilt copy."""
     desc = record.descriptor
-    util_stream = derive_stream(config.seed, STREAM_VM_UTILIZATION, *desc.key)
+    service_id, dc_id, vm_index = key = desc.key
     spec = record.spec
     util = full_utilization(spec)
-    record.samples = [VmSample(*desc.key, t=desc.t_init, spec=spec, util=util)]
+    samples = record.samples = [VmSample(service_id, dc_id, vm_index, desc.t_init, spec, util)]
+    vertical = caps.vertical
+    # the record lets go of the stream, and of the block words it has left
+    spec_stream, record.spec_stream = record.spec_stream, None
+    vertical_policy = config.vertical_policy
+    server, network = caps.server_overbooking, caps.network_overbooking
+    walks = server or network
+    if walks:
+        util_stream = derive_stream(config.seed, STREAM_VM_UTILIZATION, *key)
+        util_policy = config.utilization_policy
     for t in range(desc.t_init + 1, desc.t_end):
         try:
-            if caps.vertical:
-                spec = evolve_vertical(record.spec_stream, spec, config.vertical_policy)
-            util = evolve_utilization(
-                util_stream,
-                util,
-                spec,
-                config.utilization_policy,
-                server=caps.server_overbooking,
-                network=caps.network_overbooking,
-            )
+            if vertical:
+                stepped = evolve_vertical(spec_stream, spec, vertical_policy)
+                if stepped is not spec and not walks:
+                    # without overbooking the utilization is the request
+                    util = full_utilization(stepped)
+                spec = stepped
+            if walks:
+                util = evolve_utilization(util_stream, util, spec, util_policy, server=server, network=network)
         except (InvalidOperation, ValidationError):
             # a step's quantize needed more digits than the decimal context
             # holds, or a walk reached a value as_quantity refuses
-            raise _domain_error(desc.key, t) from None
-        record.samples.append(VmSample(*desc.key, t=t, spec=spec, util=util))
+            raise _domain_error(key, t) from None
+        samples.append(VmSample(service_id, dc_id, vm_index, t, spec, util))
 
 
 def _domain_error(key: tuple[int, int, int], t: int) -> ConfigError:

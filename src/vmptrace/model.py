@@ -88,11 +88,9 @@ def quantity_text(value: Decimal) -> str:
     """
     if not value.is_finite():
         raise ValidationError(f"cannot render non-finite quantity {value}")
-    normalized = value.normalize()
-    if normalized.as_tuple().exponent > 0:
-        # normalize() rewrites 100 as 1E+2; expand it back to plain digits
-        normalized = normalized.quantize(Decimal(1))
-    return format(normalized, "f")
+    # normalize() rewrites 100 as 1E+2; the "f" format writes it back out as
+    # plain digits, so totals of 10**28 and above render too
+    return format(value.normalize(), "f")
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,6 +39,7 @@ from operator import attrgetter, le
 from .environments import env_from_coords
 from .errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError
 from .model import (
+    QUANTITY_LIMIT,
     EventKind,
     ResourceSpec,
     Trace,
@@ -157,16 +158,16 @@ class _Shared(dict):
 
 def _sample_rows(trace: Trace):
     """Each sample's fields rendered as text, in CSV_COLUMNS order; revenue
-    and SLA level come from the sample's descriptor."""
-    by_key = trace.descriptor_map()
+    and SLA level come from the sample's descriptor, rendered once per VM."""
     # rendered once per distinct quantity: exact because the text depends only
     # on the value, and equal Decimals share a key (5 and 5.0 both render
     # "5"). The one exception, -0, is never held by the model, whose
     # quantities go through as_quantity.
     texts = _Shared(quantity_text)
+    vm_texts = {desc.key: (texts[desc.revenue], str(desc.sla)) for desc in trace.descriptors}
     for sample in trace.samples:
-        descriptor = by_key.get(sample.vm_key)
-        if descriptor is None:
+        vm_text = vm_texts.get(sample.vm_key)
+        if vm_text is None:
             raise ValidationError(f"sample references unknown VM {sample.vm_key}")
         spec, util = sample.spec, sample.util
         yield (
@@ -180,8 +181,8 @@ def _sample_rows(trace: Trace):
             texts[util.ucpu],
             texts[util.uram],
             texts[util.unet],
-            texts[descriptor.revenue],
-            str(descriptor.sla),
+            vm_text[0],
+            vm_text[1],
         )
 
 
@@ -507,11 +508,15 @@ def _reconstruct_descriptors(
 
 def _revenue_text(revenue: Decimal | int) -> str:
     # only a negative revenue, which is refused anyway, can lie outside the
-    # quantity domain, where quantity_text overflows or cannot quantize
+    # quantity domain; one whose size reaches 10**28 keeps its own spelling,
+    # which stays short where plain digits would not
     try:
-        return quantity_text(Decimal(revenue))
+        normalized = Decimal(revenue).normalize()
     except ArithmeticError:
         return str(revenue)
+    if normalized.is_finite() and abs(normalized) >= QUANTITY_LIMIT:
+        return str(revenue)
+    return quantity_text(normalized)
 
 
 def read_trace_file(path) -> Trace:

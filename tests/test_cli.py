@@ -231,6 +231,24 @@ def test_stats_table_and_json(tmp_path, capsys):
     assert json.loads(json_path.read_text())["horizon"] == 6
 
 
+def test_stats_table_renders_a_total_of_10_to_the_28_and_above(tmp_path, capsys):
+    # each (dc 1, t 0) sample is in the quantity domain; their sum is not,
+    # and the table writes it out as plain digits
+    out = tmp_path / "ex1.vmpt.jsonl"
+    _run(["fixture", "--id", "0,1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["type"] == "sample" and record["t"] == 0 and record["dc"] == 1:
+            record["vcpu"] = 9 * 10**27
+            lines[i] = json.dumps(record, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run(["stats", "--in", str(out), "--format", "table"]) == EXIT_OK
+    first_row = capsys.readouterr().out.splitlines()[1].split()
+    assert first_row[:4] == ["1", "0", "2", "18000000000000000000000000000"]
+
+
 def test_convert_to_csv(tmp_path, capsys):
     out = tmp_path / "ex1.vmpt.jsonl"
     csv_path = tmp_path / "ex1.csv"

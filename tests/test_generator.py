@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -341,6 +342,7 @@ def test_config_checks_reject_bad_fields():
         dict(vertical_policy=VerticalPolicy(p_step=1.5)),
         dict(vertical_policy=VerticalPolicy(magnitude=(-0.1, 0.4))),
         dict(vertical_policy=VerticalPolicy(magnitude=(0.4, 0.1))),
+        dict(vertical_policy=VerticalPolicy(magnitude=(0.1, float("inf")))),
         dict(vertical_policy=VerticalPolicy(precision=-1)),
         dict(horizontal_policy=HorizontalPolicy(min_vms=0)),
         dict(horizontal_policy=HorizontalPolicy(min_vms=3, max_vms=2)),
@@ -368,6 +370,22 @@ def test_largest_quantity_ranges_generate_renderable_traces():
     assert read_trace(trace_to_bytes(trace)) == trace
     with pytest.raises(ConfigError, match=r"sizing.vcpu upper bound must be < 10\*\*28"):
         check_config(dataclasses.replace(config, sizing=SizingRanges(vcpu=(1, 10**28))))
+
+
+def test_an_infinite_magnitude_bound_is_a_config_error_naming_the_field():
+    # without the check, generate fails at the first step with the per-VM
+    # domain error instead
+    config = dataclasses.replace(
+        default_config(env_from_coords(2, 0), seed=1),
+        vertical_policy=VerticalPolicy(p_step=0.25, magnitude=(0.0, float("inf"))),
+    )
+    message = r"^vertical_policy\.magnitude upper bound must be finite, got \(0\.0, inf\)$"
+    with pytest.raises(ConfigError, match=message):
+        check_config(config)
+    with pytest.raises(ConfigError, match=message):
+        generate(config)
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(config_to_dict(config))
 
 
 _NEAR_LIMIT = (10**28 - 1, 10**28 - 1)
@@ -425,7 +443,7 @@ def _accepted_configs(draw):
         ),
         vertical_policy=VerticalPolicy(
             p_step=draw(st.sampled_from([0.0, 0.5, 1.0])),
-            magnitude=draw(_ordered_pair([0.0, 0.1, 0.5, 1.0, 3.0, 1e10, 1e300, float("inf")])),
+            magnitude=draw(_ordered_pair([0.0, 0.1, 0.5, 1.0, 3.0, 1e10, 1e300, sys.float_info.max])),
             vary_net=draw(st.booleans()),
             precision=draw(st.sampled_from([0, 1, 3, 20, 26, 27, 28, 30, 100])),
         ),

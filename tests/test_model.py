@@ -83,6 +83,17 @@ def test_quantity_domain_edges_render_exactly():
             as_quantity(value)
 
 
+def test_quantity_text_writes_values_of_10_to_the_28_and_above_as_digits():
+    # a stats total may leave the quantity domain; it renders without exponent
+    assert quantity_text(Decimal("1.8E+28")) == "18000000000000000000000000000"
+    assert quantity_text(Decimal(9 * 10**27) + Decimal(9 * 10**27)) == "18000000000000000000000000000"
+    assert quantity_text(Decimal("1E+40")) == "1" + "0" * 40
+    # inside the domain the text is unchanged
+    assert quantity_text(Decimal("1E+2")) == "100"
+    assert quantity_text(Decimal(QUANTITY_LIMIT - 1)) == "9" * 28
+    assert quantity_text(Decimal("12.50")) == "12.5"
+
+
 def _reference_quantity(value):
     """as_quantity checked type by type, without its exact-type fast paths."""
     if isinstance(value, bool):
@@ -107,8 +118,10 @@ def _reference_quantity(value):
         raise ValidationError(f"quantity must be >= 0, got {value}")
     if value == 0:
         return Decimal(0)
+    # quantity_text renders values of 10**28 and above too, so the bound is
+    # stated here; below it the domain is what renders exactly
     try:
-        exact = Decimal(quantity_text(value)) == value
+        exact = value < QUANTITY_LIMIT and Decimal(quantity_text(value)) == value
     except ArithmeticError:
         exact = False
     if not exact:

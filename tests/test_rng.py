@@ -1,8 +1,37 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from vmptrace.rng import SplitMix64, derive_stream
+from vmptrace.rng import BLOCK_WORDS, GOLDEN_GAMMA, SINGLE_WORDS, SplitMix64, _mix, derive_stream
+
+_MASK = 2**64 - 1
+
+
+class _ScalarStream(SplitMix64):
+    """The same draw methods over words computed one at a time by _mix, the
+    reference for the block kernel."""
+
+    __slots__ = ("counter",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.counter = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.counter = (self.counter + GOLDEN_GAMMA) & _MASK
+        return _mix(self.counter)
+
+
+# 0, 1 and 2**64 - 1, plus a seed with the top bit set, gamma itself and one
+# whose counter wraps to 0 inside the first block
+KERNEL_SEEDS = (0, 1, 2**64 - 1, 2**63, GOLDEN_GAMMA, -(SINGLE_WORDS + 5) * GOLDEN_GAMMA % 2**64, 987654321)
+# counts on both sides of the switch to blocks and of the next block boundaries
+WORD_COUNTS = sorted(
+    {1, 600}
+    | {SINGLE_WORDS + k * BLOCK_WORDS + d for k in range(4) for d in (-1, 0, 1)}
+)
 
 
 def test_reference_sequence_for_seed_zero():
@@ -159,3 +188,74 @@ def test_poisson_mean_holds_past_the_exp_underflow(rate):
     stream = SplitMix64(7)
     draws = [stream.poisson(rate) for _ in range(100)]
     assert abs(sum(draws) / len(draws) - rate) < 0.03 * rate
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+@pytest.mark.parametrize("count", WORD_COUNTS)
+def test_block_words_equal_the_scalar_reference(seed, count):
+    stream, reference = SplitMix64(seed), _ScalarStream(seed)
+    assert [stream.next_u64() for _ in range(count)] == [reference.next_u64() for _ in range(count)]
+
+
+def _draw(stream: SplitMix64, op: str, arg):
+    if op == "next_u64":
+        return stream.next_u64()
+    if op == "chance":
+        return stream.chance(arg)
+    if op == "randint":
+        return stream.randint(*arg)
+    if op == "uniform":
+        return stream.uniform(*arg)
+    if op == "poisson":
+        return stream.poisson(arg)
+    return stream.choice(arg)
+
+
+def _script(seed: int, length: int):
+    """A fixed mix of draw calls with their arguments, some spans past 2**64."""
+    pick = random.Random(seed)
+    ops = []
+    for _ in range(length):
+        op = pick.choice(("next_u64", "chance", "randint", "uniform", "poisson", "choice"))
+        if op == "chance":
+            arg = pick.choice((0.0, 0.25, 0.5, 0.9, 1.0))
+        elif op == "randint":
+            arg = pick.choice(((0, 2), (1, 10**6), (0, 3 * 2**62), (1, 10**28), (0, 2**128 - 1)))
+        elif op == "uniform":
+            arg = (0.1, 0.4)
+        elif op == "poisson":
+            arg = pick.choice((0.0, 0.5, 3.0))
+        elif op == "choice":
+            arg = ("a", "b", "c")
+        else:
+            arg = None
+        ops.append((op, arg))
+    return ops
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_interleaved_draws_equal_the_scalar_reference(seed):
+    stream, reference = SplitMix64(seed), _ScalarStream(seed)
+    for op, arg in _script(seed, 600):
+        assert _draw(stream, op, arg) == _draw(reference, op, arg), (op, arg)
+    # both streams stand at the same word afterwards
+    assert stream.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_a_wide_randint_straddling_a_block_boundary_takes_both_words_in_order(seed):
+    # word SINGLE_WORDS + BLOCK_WORDS ends the first block and the next one
+    # starts the second; a span of 2**128 takes both, most significant first
+    reference = _ScalarStream(seed)
+    words = [reference.next_u64() for _ in range(SINGLE_WORDS + BLOCK_WORDS + 1)]
+    stream = SplitMix64(seed)
+    for _ in range(SINGLE_WORDS + BLOCK_WORDS - 1):
+        stream.next_u64()
+    assert stream.randint(0, 2**128 - 1) == (words[-2] << 64) | words[-1]
+    # a span past 2**64 that is not a power of two rejects some draws, so
+    # compare it against the reference's own draws over several boundaries
+    stream, reference = SplitMix64(seed), _ScalarStream(seed)
+    for _ in range(SINGLE_WORDS + BLOCK_WORDS - 1):
+        assert stream.next_u64() == reference.next_u64()
+    for _ in range(BLOCK_WORDS):
+        assert stream.randint(1, 10**28) == reference.randint(1, 10**28)
