@@ -99,6 +99,8 @@ def handle_generate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             # int() refuses a literal past sys.get_int_max_str_digits()
             raise ConfigError(f"config {args.config} holds an integer literal too long to read: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"config {args.config} is JSON nested too deeply to decode") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must contain a JSON object")
     else:

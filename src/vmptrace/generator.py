@@ -253,6 +253,8 @@ def check_config(config: GeneratorConfig) -> None:
     _check_quantity_range("utilization_policy.ram_step", util.ram_step)
     _check_quantity_range("utilization_policy.net_step", util.net_step)
 
+    if not isinstance(config.guarantee_dynamics, bool):
+        raise ConfigError(f"guarantee_dynamics must be true or false, got {config.guarantee_dynamics!r}")
     if config.guarantee_dynamics:
         caps = capabilities(config.environment)
         if caps.any_elasticity and config.horizon < 2:

@@ -14,7 +14,7 @@ construction so that serialized documents round-trip byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
@@ -119,6 +119,17 @@ class UtilizationSample:
         object.__setattr__(self, "ucpu", as_quantity(self.ucpu))
         object.__setattr__(self, "uram", as_quantity(self.uram))
         object.__setattr__(self, "unet", as_quantity(self.unet))
+
+
+def _prechecked(cls):
+    """A function building a slotted ``cls`` from field values that its checks
+    have already accepted, skipping ``__post_init__``. Its code is generated,
+    as dataclasses generates ``__init__``, so no loop runs per instance."""
+    names = [f.name for f in fields(cls)]
+    namespace = {"new": object.__new__, "cls": cls, **{f"set_{name}": getattr(cls, name).__set__ for name in names}}
+    body = "".join(f"    set_{name}(instance, {name})\n" for name in names)
+    exec(f"def build({', '.join(names)}):\n    instance = new(cls)\n{body}    return instance\n", namespace)
+    return namespace["build"]
 
 
 def full_utilization(spec: ResourceSpec) -> UtilizationSample:

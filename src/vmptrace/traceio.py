@@ -15,17 +15,20 @@ events, so a document needs no separate descriptor lines.
 
 Every quantity must lie in the domain ``model.as_quantity`` accepts, the
 values ``quantity_text`` renders exactly; one outside it is a ParseError on
-its line, and so is an integer literal too long for Python to convert.
+its line, as is an integer literal too long for Python to convert or a line
+nested too deeply to decode.
 
-A sample line spelled exactly as the writer spells it is read without JSON
-decoding: one pattern match yields its field texts, and each distinct
-quantity text and each distinct spec or utilization triple of a document is
-checked and built once. Samples that repeat a value may therefore share one
-Decimal, ResourceSpec or UtilizationSample; object identity is not part of
-the API. Any other line, such as one spelling a quantity ``5.0`` or ``-0``,
-or with reordered keys or whitespace, is decoded as JSON and checked field
-by field: it reads to the same values, each Decimal keeping its spelling,
-and fails with the same message.
+Reading is one pass in document order that checks each value once. A sample
+line spelled exactly as the writer spells it is read without JSON decoding:
+one pattern match yields its field texts, and each distinct quantity text
+and each distinct spec or utilization triple of a document is checked once,
+then built without checking again. Samples that repeat a value may therefore
+share one Decimal, ResourceSpec or UtilizationSample; object identity is not
+part of the API. Any other line, such as one spelling a quantity ``5.0`` or
+``-0``, or with reordered keys or whitespace, is decoded as JSON and checked
+field by field: it reads to the same values, each Decimal keeping its
+spelling, and fails with the same message. Samples are sorted only if their
+keys do not strictly increase, as a canonical document's do.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .model import (
     UtilizationSample,
     VmSample,
     VmDescriptor,
+    _prechecked,
     as_quantity,
     quantity_text,
 )
@@ -65,8 +69,8 @@ _SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name i
 # integer spelling with at most 20 digits, quantities quantity_text's spelling
 # with an integer part of at most 28 digits and a fraction of at most 40
 # ending in a non-zero digit. The groups are t, service, dc, vm, the
-# '"vcpu":..,"vram":..,"vnet":..' and '"ucpu":..,"uram":..,"unet":..' texts,
-# revenue and sla.
+# '"vcpu":..,"vram":..,"vnet":..' text and its three quantities, the
+# '"ucpu":..,"uram":..,"unet":..' text and its three quantities, revenue and sla.
 _ID_TEXT = "(0|[1-9][0-9]{0,19})"
 _QUANTITY_TEXT = r"(?:0|[1-9][0-9]{0,27})(?:\.[0-9]{0,39}[1-9])?"
 
@@ -78,11 +82,13 @@ def _fields_pattern(names, value: str) -> str:
 _scan_sample = re.compile(
     re.escape('{"type":"sample",')
     + _fields_pattern(CSV_COLUMNS[:4], _ID_TEXT)
-    + f",({_fields_pattern(CSV_COLUMNS[4:7], _QUANTITY_TEXT)})"
-    + f",({_fields_pattern(CSV_COLUMNS[7:10], _QUANTITY_TEXT)})"
+    + f",({_fields_pattern(CSV_COLUMNS[4:7], f'({_QUANTITY_TEXT})')})"
+    + f",({_fields_pattern(CSV_COLUMNS[7:10], f'({_QUANTITY_TEXT})')})"
     + f',"revenue":({_QUANTITY_TEXT}),"sla":{_ID_TEXT}'
     + re.escape("}")
 ).fullmatch
+# builders for values read_trace has already checked
+_new_spec, _new_util, _new_sample = map(_prechecked, (ResourceSpec, UtilizationSample, VmSample))
 # one decoder for every line; json.loads(..., parse_float=Decimal) builds a new one per call
 _DECODER = json.JSONDecoder(parse_float=Decimal)
 
@@ -231,6 +237,8 @@ def _load_line(line: str, line_number: int) -> dict:
     except ValueError as exc:
         # int() refuses a literal past sys.get_int_max_str_digits()
         raise ParseError(f"integer literal too long ({exc})", line_number) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", line_number) from None
     if not isinstance(value, dict):
         raise ParseError(f"expected a JSON object, got {type(value).__name__}", line_number)
     return value
@@ -334,35 +342,6 @@ def _parse_sample(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int,
     return sample, revenue, sla
 
 
-class _ScannedSamples:
-    """Builds the sample of a line ``_scan_sample`` accepted, from per-document
-    tables: one checked Decimal per distinct quantity text, and one
-    ResourceSpec or UtilizationSample per distinct text of three quantities.
-
-    The checks run in the order ``_parse_sample`` runs them (spec, then
-    utilization, then ids, then revenue), so a line fails with the same
-    message on either path.
-    """
-
-    def __init__(self):
-        quantities = self.quantities = _Shared(lambda text: as_quantity(Decimal(text)))
-
-        def values(text: str) -> list[Decimal]:
-            # '"vcpu":8,"vram":16,"vnet":150' -> the three checked quantities
-            return [quantities[item.partition(":")[2]] for item in text.split(",")]
-
-        self.specs = _Shared(lambda text: ResourceSpec(*values(text)))
-        self.utils = _Shared(lambda text: UtilizationSample(*values(text)))
-
-    def parse(self, fields: tuple[str, ...], line_number: int) -> tuple[VmSample, Decimal, int]:
-        t, service, dc, vm, spec, util, revenue, sla = fields
-        try:
-            sample = VmSample(int(service), int(dc), int(vm), int(t), self.specs[spec], self.utils[util])
-            return sample, self.quantities[revenue], int(sla)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_number) from None
-
-
 def _source_text(source) -> str:
     if isinstance(source, bytes):
         data = source
@@ -404,12 +383,40 @@ def read_trace(source) -> Trace:
     header = _parse_header(first, 1)
 
     events: list[TraceEvent] = []
-    samples: dict[tuple[int, int, int, int], tuple[VmSample, Decimal | int, int]] = {}
-    scanned = _ScannedSamples()
-    for index, line in enumerate(lines[1:], start=2):
+    samples: list[VmSample] = []
+    # per VM: its lowest and highest tick and its first sample's revenue and
+    # SLA; and the revenues and SLAs of later samples that differ from those
+    vms: dict[tuple[int, int, int], list] = {}
+    conflicts: dict[tuple[int, int, int], tuple[list, list]] = {}
+    # one checked Decimal per distinct quantity text, one ResourceSpec or
+    # UtilizationSample per distinct text of three quantities
+    quantities = _Shared(lambda text: as_quantity(Decimal(text)))
+    specs: dict[str, ResourceSpec] = {}
+    utils: dict[str, UtilizationSample] = {}
+    # sample keys strictly increase through a canonical document, so none can
+    # repeat there; from the first key at or below its predecessor on, each
+    # key is checked against the set of keys seen
+    previous: tuple = ()
+    seen = None
+    for index, line in enumerate(islice(lines, 1, None), start=2):
         match = _scan_sample(line)
         if match is not None:
-            sample, revenue, sla = scanned.parse(match.groups(), index)
+            t, service, dc, vm, spec_text, vcpu, vram, vnet, util_text, ucpu, uram, unet, revenue, sla = match.groups()
+            # checked in _parse_sample's order: spec, utilization, ids, revenue
+            try:
+                spec = specs.get(spec_text)
+                if spec is None:
+                    spec = specs[spec_text] = _new_spec(quantities[vcpu], quantities[vram], quantities[vnet])
+                util = utils.get(util_text)
+                if util is None:
+                    util = utils[util_text] = _new_util(quantities[ucpu], quantities[uram], quantities[unet])
+                t, service, dc, vm = int(t), int(service), int(dc), int(vm)
+                # the pattern admits no negative id; VmSample refuses a 0 with its own message
+                sample = (_new_sample if service and dc and vm else VmSample)(service, dc, vm, t, spec, util)
+                revenue = quantities[revenue]
+            except ValidationError as exc:
+                raise ParseError(str(exc), index) from None
+            sla = int(sla)
         elif line == "":
             raise ParseError("blank line", index)
         else:
@@ -423,24 +430,44 @@ def read_trace(source) -> Trace:
             if line_type != "sample":
                 raise ParseError(f"unknown line type {line_type!r}", index)
             sample, revenue, sla = _parse_sample(obj, index)
-        key = (sample.t, sample.service_id, sample.dc_id, sample.vm_index)
-        if key in samples:
-            raise IntegrityError(f"duplicate sample for VM {sample.vm_key} at t={sample.t} (line {index})")
-        samples[key] = (sample, revenue, sla)
+            t, service, dc, vm = sample.t, sample.service_id, sample.dc_id, sample.vm_index
+        key = (t, service, dc, vm)
+        if seen is None and previous < key:
+            previous = key
+        else:
+            if seen is None:
+                seen = set(map(_sample_key, samples))
+            if key in seen:
+                raise IntegrityError(f"duplicate sample for VM {sample.vm_key} at t={t} (line {index})")
+            seen.add(key)
+        samples.append(sample)
+        vm_key = (service, dc, vm)
+        state = vms.get(vm_key)
+        if state is None:
+            vms[vm_key] = [t, t, revenue, sla]
+            continue
+        if t < state[0]:
+            state[0] = t
+        elif t > state[1]:
+            state[1] = t
+        # equal quantity texts share one Decimal, so identity settles most
+        # revenues; of two equal zeros, one may still be spelled -0
+        known = state[2]
+        if revenue is not known and (revenue != known or (not revenue and _revenue_text(revenue) != _revenue_text(known))):
+            conflicts.setdefault(vm_key, ([], []))[0].append(revenue)
+        if sla != state[3]:
+            conflicts.setdefault(vm_key, ([], []))[1].append(sla)
 
     # the document text and the per-document tables are done with; freed
     # here, they make room for the descriptors instead of adding to the peak
-    del text, lines, scanned
-    descriptors = _reconstruct_descriptors(events, samples)
-    # built once, already canonical: descriptors come out in key order, and a
-    # sample's dict key is its sort key
-    events.sort(key=lambda e: e.sort_key)
-    return Trace(
-        header=header,
-        descriptors=tuple(descriptors),
-        events=tuple(events),
-        samples=tuple(samples[key][0] for key in sorted(samples)),
-    )
+    del text, lines, quantities, specs, utils
+    descriptors = _reconstruct_descriptors(events, vms, conflicts)
+    # built once, in canonical order: descriptors come out in key order, and
+    # samples are sorted only when their keys did not strictly increase
+    events.sort(key=_event_key)
+    if seen is not None:
+        samples.sort(key=_sample_key)
+    return Trace(header=header, descriptors=tuple(descriptors), events=tuple(events), samples=tuple(samples))
 
 
 def _unique_event_map(events: list[TraceEvent], kind: EventKind, label: str) -> dict:
@@ -455,52 +482,30 @@ def _unique_event_map(events: list[TraceEvent], kind: EventKind, label: str) -> 
     return mapping
 
 
-def _reconstruct_descriptors(
-    events: list[TraceEvent],
-    samples: dict[tuple[int, int, int, int], tuple[VmSample, Decimal | int, int]],
-) -> list[VmDescriptor]:
+def _reconstruct_descriptors(events: list[TraceEvent], vms: dict, conflicts: dict) -> list[VmDescriptor]:
     arrivals = _unique_event_map(events, EventKind.SERVICE_ARRIVAL, "arrival")
     departures = _unique_event_map(events, EventKind.SERVICE_DEPARTURE, "departure")
     scale_outs = _unique_event_map(events, EventKind.VM_SCALE_OUT, "scale-out")
     scale_ins = _unique_event_map(events, EventKind.VM_SCALE_IN, "scale-in")
 
-    by_vm: dict[tuple[int, int, int], list[tuple[VmSample, Decimal | int, int]]] = {}
-    for sample, revenue, sla in samples.values():
-        by_vm.setdefault(sample.vm_key, []).append((sample, revenue, sla))
-
     descriptors = []
-    for key in sorted(by_vm):
-        entries = by_vm[key]
-        first = entries[0][1]
-        # equal non-zero revenues render alike, so only a mismatch or a zero,
-        # which a document may spell -0, is rendered to be compared as text
-        if first == 0 or any(revenue != first for _, revenue, _ in entries):
-            revenues = {_revenue_text(revenue) for _, revenue, _ in entries}
-            if len(revenues) > 1:
-                raise IntegrityError(f"VM {key} has inconsistent revenue values: {sorted(revenues)}")
-        slas = {sla for _, _, sla in entries}
-        if len(slas) > 1:
-            raise IntegrityError(f"VM {key} has inconsistent sla values: {sorted(slas)}")
-        ticks = sorted(entry[0].t for entry in entries)
+    for key in sorted(vms):
+        t_min, t_max, revenue, sla = vms[key]
+        revenues, slas = conflicts.get(key, ((), ()))
+        if revenues:
+            texts = {_revenue_text(revenue), *map(_revenue_text, revenues)}
+            raise IntegrityError(f"VM {key} has inconsistent revenue values: {sorted(texts)}")
+        if slas:
+            raise IntegrityError(f"VM {key} has inconsistent sla values: {sorted({sla, *slas})}")
         service_id = key[0]
-        t_init = scale_outs.get(key, arrivals.get(service_id, ticks[0]))
-        t_end = scale_ins.get(key, departures.get(service_id, ticks[-1] + 1))
-        if ticks[0] < t_init:
-            raise IntegrityError(f"VM {key} has a sample at t={ticks[0]} before its start at t={t_init}")
-        if ticks[-1] >= t_end:
-            raise IntegrityError(f"VM {key} has a sample at t={ticks[-1]} at or past its end at t={t_end}")
+        t_init = scale_outs.get(key, arrivals.get(service_id, t_min))
+        t_end = scale_ins.get(key, departures.get(service_id, t_max + 1))
+        if t_min < t_init:
+            raise IntegrityError(f"VM {key} has a sample at t={t_min} before its start at t={t_init}")
+        if t_max >= t_end:
+            raise IntegrityError(f"VM {key} has a sample at t={t_max} at or past its end at t={t_end}")
         try:
-            descriptors.append(
-                VmDescriptor(
-                    service_id=service_id,
-                    dc_id=key[1],
-                    vm_index=key[2],
-                    revenue=entries[0][1],
-                    sla=entries[0][2],
-                    t_init=t_init,
-                    t_end=t_end,
-                )
-            )
+            descriptors.append(VmDescriptor(service_id, key[1], key[2], revenue, sla, t_init, t_end))
         except ValidationError as exc:
             raise IntegrityError(f"VM {key}: {exc}") from None
     return descriptors

@@ -150,6 +150,44 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert "too long" not in err
 
 
+# nested past the JSON decoder's recursion limit on every supported Python
+# (3.13 still decodes 5,000 levels)
+_DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+
+def test_config_nested_too_deeply_to_decode_is_a_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "deep.json"
+    config_path.write_text('{"environment": ' + _DEEP_LIST + "}")
+    assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config {config_path} is JSON nested too deeply to decode\n"
+
+
+def test_config_flag_nested_just_below_the_decoder_limit_is_a_usage_error(tmp_path, capsys):
+    # decoded, but a nested list is no guarantee_dynamics flag; it used to
+    # reach the config digest, whose json.dumps ran out of recursion (exit 4)
+    config_path = tmp_path / "deep.json"
+    for depth in range(900, 1000, 7):
+        config_path.write_text('{"environment": [0, 0], "guarantee_dynamics": ' + "[" * depth + "]" * depth + "}")
+        assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("depth", [5000, 100_000])
+@pytest.mark.parametrize("index", [0, 1, 5])
+def test_trace_line_nested_too_deeply_is_an_io_error(tmp_path, capsys, index, depth):
+    path = tmp_path / "deep.vmpt.jsonl"
+    assert _run(["fixture", "--id", "0,1", "--out", str(path)]) == EXIT_OK
+    lines = path.read_text().splitlines()
+    lines[index] = lines[index][:-1] + ',"nested":' + "[" * depth + "]" * depth + "}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _run(["validate", "--in", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    # 3.13 decodes 5,000 levels, and then refuses the unknown field
+    assert err.startswith(f"error: line {index + 1}: ") and "Traceback" not in err
+    if depth == 100_000:
+        assert err == f"error: line {index + 1}: JSON nested too deeply to decode\n"
+
+
 def test_trace_with_an_integer_literal_too_long_to_convert_is_an_io_error(tmp_path, capsys):
     path = tmp_path / "long.vmpt.jsonl"
     assert _run(["fixture", "--id", "0,1", "--out", str(path)]) == EXIT_OK

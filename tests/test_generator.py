@@ -352,6 +352,9 @@ def test_config_checks_reject_bad_fields():
         dict(sizing=SizingRanges(vcpu=(1, 10**28))),
         dict(sizing=SizingRanges(revenue=(0, 10**30 + 1))),
         dict(utilization_policy=UtilizationPolicy(cpu_step=(0, 10**28))),
+        # a truthy non-bool, such as a nested list from a config file, is not a flag
+        dict(guarantee_dynamics=1),
+        dict(guarantee_dynamics=[[]]),
     ]
     for replacement in bad_cases:
         with pytest.raises(ConfigError):

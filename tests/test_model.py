@@ -199,6 +199,21 @@ def test_trace_values_pickle_and_copy_without_an_instance_dict():
     assert copy.deepcopy(trace) == trace
 
 
+def test_prechecked_builders_make_what_the_constructors_make_without_checking():
+    spec, util = ResourceSpec(8, 16, 150), UtilizationSample(Decimal("7.5"), 16, 0)
+    for cls, values in (
+        (ResourceSpec, (spec.vcpu, spec.vram, spec.vnet)),
+        (UtilizationSample, (util.ucpu, util.uram, util.unet)),
+        (VmSample, (1, 2, 3, 4, spec, util)),
+    ):
+        built = model._prechecked(cls)(*values)
+        assert type(built) is cls and not hasattr(built, "__dict__")
+        assert built == cls(*values) and hash(built) == hash(cls(*values)) and repr(built) == repr(cls(*values))
+        assert pickle.loads(pickle.dumps(built)) == built
+    # the checks are the caller's: an id of 0 is built as given
+    assert model._prechecked(VmSample)(0, 1, 1, 0, spec, util).service_id == 0
+
+
 def test_quantity_text_uses_the_shortest_exact_form():
     assert quantity_text(Decimal("12.50")) == "12.5"
     assert quantity_text(Decimal("1E+2")) == "100"

@@ -362,17 +362,22 @@ def test_reader_checks_each_distinct_quantity_and_triple_once(monkeypatch):
     spec_triples = {(row["vcpu"], row["vram"], row["vnet"]) for row in rows}
     util_triples = {(row["ucpu"], row["uram"], row["unet"]) for row in rows}
     assert len(spec_triples) < len(rows) and len(util_triples) < len(rows)
-    built = {"as_quantity": [], "ResourceSpec": [], "UtilizationSample": []}
-    for name, real in (("as_quantity", as_quantity), ("ResourceSpec", ResourceSpec), ("UtilizationSample", UtilizationSample)):
-        def counting(*args, name=name, real=real):
+    # each value is checked once, then built without checking again: the
+    # model constructors, which would check it a second time, are not called
+    names = ("as_quantity", "_new_spec", "_new_util", "_new_sample", "ResourceSpec", "UtilizationSample", "VmSample")
+    built = {name: [] for name in names}
+    for name in names:
+        def counting(*args, name=name, real=getattr(traceio, name)):
             built[name].append(args)
             return real(*args)
 
         monkeypatch.setattr(traceio, name, counting)
     assert read_trace(document) == trace
     assert sorted(value for (value,) in built["as_quantity"]) == sorted(map(Decimal, texts))
-    assert len(built["ResourceSpec"]) == len(spec_triples)
-    assert len(built["UtilizationSample"]) == len(util_triples)
+    assert len(built["_new_spec"]) == len(spec_triples)
+    assert len(built["_new_util"]) == len(util_triples)
+    assert len(built["_new_sample"]) == len(rows)
+    assert not built["ResourceSpec"] and not built["UtilizationSample"] and not built["VmSample"]
 
 
 def test_reader_keeps_each_decimal_spelling():
@@ -464,11 +469,26 @@ def test_an_integer_literal_too_long_to_convert_is_a_parse_error(line_type, fiel
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(st.one_of(st.binary(max_size=200), _mutated_bytes(_FIXTURE_DOCUMENT)))
 @example(_FIXTURE_DOCUMENT.replace(b'"vcpu":8', b'"vcpu":' + _LONG_INTEGER.encode(), 1))
+@example(_FIXTURE_DOCUMENT.replace(b'"environment":[1,0]', b'"environment":' + b"[" * 5000 + b"]" * 5000, 1))
 def test_read_trace_raises_only_package_errors_on_arbitrary_bytes(data):
     try:
         read_trace(data)
     except VmpTraceError:
         pass
+
+
+# past the JSON decoder's recursion limit on every supported Python
+_DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line_type", ["header", "event", "sample"])
+def test_a_line_nested_too_deeply_to_decode_is_a_parse_error(line_type):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_1_0))
+    index = next(i for i, line in enumerate(lines) if f'"type":"{line_type}"' in line)
+    lines[index] = lines[index][:-1] + f',"nested":{_DEEP_LIST}}}'
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines(lines))
+    assert str(excinfo.value) == f"line {index + 1}: JSON nested too deeply to decode"
 
 
 def _reference_parse_sample(obj, line_number):
@@ -617,3 +637,195 @@ def test_edited_sample_lines_read_as_the_field_by_field_parser_reads_them(edit):
     lines[6] = _LINE_EDITS[edit](lines[6])
     outcome, reference = _read_outcomes(_doc_from_lines(lines))
     assert outcome == reference
+
+
+def _reference_read_trace(source) -> Trace:
+    """read_trace as it was before it read in one ordered pass: every sample
+    keyed into a dict by (t, service, dc, vm), the keys sorted at the end, and
+    the samples regrouped per VM. Every line is decoded as JSON and parsed
+    field by field, which the tests above hold equal to the scanned path."""
+    lines = traceio._source_text(source).split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FormatError("empty document: expected a header line")
+    if lines[0] == "":
+        raise ParseError("blank line", 1)
+    first = traceio._load_line(lines[0], 1)
+    if first.get("type") != "header":
+        raise FormatError(f"first line must be the header, got type {first.get('type')!r}")
+    header = traceio._parse_header(first, 1)
+    events = []
+    samples = {}
+    for index, line in enumerate(lines[1:], start=2):
+        if line == "":
+            raise ParseError("blank line", index)
+        obj = traceio._load_line(line, index)
+        line_type = obj.get("type")
+        if line_type == "header":
+            raise ParseError("duplicate header line", index)
+        if line_type == "event":
+            events.append(traceio._parse_event(obj, index))
+            continue
+        if line_type != "sample":
+            raise ParseError(f"unknown line type {line_type!r}", index)
+        sample, revenue, sla = _reference_parse_sample(obj, index)
+        key = (sample.t, sample.service_id, sample.dc_id, sample.vm_index)
+        if key in samples:
+            raise IntegrityError(f"duplicate sample for VM {sample.vm_key} at t={sample.t} (line {index})")
+        samples[key] = (sample, revenue, sla)
+    descriptors = _reference_reconstruct_descriptors(events, samples)
+    events.sort(key=lambda e: e.sort_key)
+    return Trace(header, tuple(descriptors), tuple(events), tuple(samples[key][0] for key in sorted(samples)))
+
+
+def _reference_reconstruct_descriptors(events, samples):
+    arrivals = traceio._unique_event_map(events, traceio.EventKind.SERVICE_ARRIVAL, "arrival")
+    departures = traceio._unique_event_map(events, traceio.EventKind.SERVICE_DEPARTURE, "departure")
+    scale_outs = traceio._unique_event_map(events, traceio.EventKind.VM_SCALE_OUT, "scale-out")
+    scale_ins = traceio._unique_event_map(events, traceio.EventKind.VM_SCALE_IN, "scale-in")
+    by_vm = {}
+    for sample, revenue, sla in samples.values():
+        by_vm.setdefault(sample.vm_key, []).append((sample, revenue, sla))
+    descriptors = []
+    for key in sorted(by_vm):
+        entries = by_vm[key]
+        first = entries[0][1]
+        if first == 0 or any(revenue != first for _, revenue, _ in entries):
+            revenues = {traceio._revenue_text(revenue) for _, revenue, _ in entries}
+            if len(revenues) > 1:
+                raise IntegrityError(f"VM {key} has inconsistent revenue values: {sorted(revenues)}")
+        slas = {sla for _, _, sla in entries}
+        if len(slas) > 1:
+            raise IntegrityError(f"VM {key} has inconsistent sla values: {sorted(slas)}")
+        ticks = sorted(entry[0].t for entry in entries)
+        t_init = scale_outs.get(key, arrivals.get(key[0], ticks[0]))
+        t_end = scale_ins.get(key, departures.get(key[0], ticks[-1] + 1))
+        if ticks[0] < t_init:
+            raise IntegrityError(f"VM {key} has a sample at t={ticks[0]} before its start at t={t_init}")
+        if ticks[-1] >= t_end:
+            raise IntegrityError(f"VM {key} has a sample at t={ticks[-1]} at or past its end at t={t_end}")
+        try:
+            descriptors.append(VmDescriptor(key[0], key[1], key[2], entries[0][1], entries[0][2], t_init, t_end))
+        except ValidationError as exc:
+            raise IntegrityError(f"VM {key}: {exc}") from None
+    return descriptors
+
+
+def _reference_outcome(document: bytes):
+    try:
+        trace = _reference_read_trace(document)
+    except VmpTraceError as exc:
+        return type(exc), str(exc)
+    return "trace", repr(trace)
+
+
+# documents whose bodies the tests below edit: service departures, scale-outs
+# and scale-ins bound some VMs' lifetimes, the samples of the others; revenues
+# are 0 in the fixtures and differ per VM in the generated documents
+_BODY_DOCUMENTS = [
+    trace_to_bytes(fixture_trace(FixtureId.ENV_0_1)),
+    _FIXTURE_DOCUMENT,
+    trace_to_bytes(generate(default_config(env_from_coords(1, 1), seed=3, horizon=6, guarantee_dynamics=True))),
+    _MUTATION_DOCUMENTS[2],
+]
+_REVENUES = ["0", "-0", "0.0", "-0.0", "5", "5.0", "7", "-3"]
+_VM_OF_LINE = re.compile('"service":([0-9]+),"dc":([0-9]+),"vm":([0-9]+)')
+
+
+def _with_field(line: str, name: str, text: str) -> str:
+    return re.sub(f'"{name}":[^,}}]*', f'"{name}":{text}', line, count=1)
+
+
+def _tick(line: str) -> int:
+    return int(re.search('"t":([0-9]+)', line).group(1))
+
+
+@st.composite
+def _edited_bodies(draw):
+    header, *body = draw(st.sampled_from(_BODY_DOCUMENTS)).decode("utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        sample_lines = [i for i, line in enumerate(body) if '"type":"sample"' in line]
+        if not sample_lines:
+            break
+        i = draw(st.sampled_from(sample_lines))
+        edit = draw(st.sampled_from(["permute", "duplicate", "revenue", "vm revenue", "sla", "tick", "drop"]))
+        if edit == "permute":
+            body = list(draw(st.permutations(body)))
+        elif edit == "duplicate":
+            body.insert(draw(st.sampled_from([i + 1, draw(st.integers(0, len(body)))])), body[i])
+        elif edit == "revenue":
+            body[i] = _with_field(body[i], "revenue", draw(st.sampled_from(_REVENUES)))
+        elif edit == "vm revenue":
+            vm, revenue = _VM_OF_LINE.search(body[i]).group(0), draw(st.sampled_from(_REVENUES))
+            body = [_with_field(line, "revenue", revenue) if vm in line else line for line in body]
+        elif edit == "sla":
+            body[i] = _with_field(body[i], "sla", draw(st.sampled_from(["1", "2", "0"])))
+        elif edit == "tick":
+            body[i] = _with_field(body[i], "t", str(max(0, _tick(body[i]) + draw(st.integers(-3, 3)))))
+        else:
+            del body[draw(st.integers(0, len(body) - 1))]
+    return _doc_from_lines([header, *body])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_edited_bodies())
+def test_edited_bodies_read_as_the_dict_and_sort_reader_reads_them(document):
+    assert _read_outcome(document) == _reference_outcome(document)
+
+
+def _move_last_sample_first(body: list[str]) -> list[str]:
+    """The body with its last line moved before its first sample, so sample
+    keys stop increasing there."""
+    first = next(i for i, line in enumerate(body) if '"type":"sample"' in line)
+    return body[:first] + body[-1:] + body[first:-1]
+
+
+def _vm_lines(body: list[str], vm: str) -> list[int]:
+    return [i for i, line in enumerate(body) if f'"dc":{vm.split(",")[0]},"vm":{vm.split(",")[1]},' in line]
+
+
+def _revenue_pair(body, first, later, vm="1,1"):
+    """Revenue ``first`` on the VM's first sample, ``later`` on its others."""
+    first_line, *others = _vm_lines(body, vm)
+    edited = list(body)
+    edited[first_line] = _with_field(edited[first_line], "revenue", first)
+    for i in others:
+        edited[i] = _with_field(edited[i], "revenue", later)
+    return edited
+
+
+# (document index in _BODY_DOCUMENTS, edit of the body, expected outcome type)
+_BODY_EDITS = {
+    "permuted": (2, lambda body: body[::-1], "trace"),
+    "duplicate next to itself": (2, lambda body: body[:20] + body[19:], IntegrityError),
+    "duplicate after the order breaks": (2, lambda body: _move_last_sample_first(body) + [body[25]], IntegrityError),
+    "duplicate of the line that breaks the order": (2, lambda body: _move_last_sample_first(body) + [body[-1]], IntegrityError),
+    # JSON reads -0 as the integer 0, and -0.0 as a Decimal that renders "-0"
+    "revenue 0 then -0": (0, lambda body: _revenue_pair(body, "0", "-0"), "trace"),
+    "revenue 0 then -0.0": (0, lambda body: _revenue_pair(body, "0", "-0.0"), IntegrityError),
+    "revenue -0.0 then 0": (0, lambda body: _revenue_pair(body, "-0.0", "0"), IntegrityError),
+    "revenue -0.0 then -0": (0, lambda body: _revenue_pair(body, "-0.0", "-0"), IntegrityError),
+    "revenue 0 then 0.0": (0, lambda body: _revenue_pair(body, "0", "0.0"), "trace"),
+    "revenue -0.0 then -0.00": (0, lambda body: _revenue_pair(body, "-0.0", "-0.00"), "trace"),
+    "revenue 5 then 5.0": (0, lambda body: _revenue_pair(body, "5", "5.0"), "trace"),
+    "revenue 5 then 7": (0, lambda body: _revenue_pair(body, "5", "7"), IntegrityError),
+    "revenue -3 on every sample": (0, lambda body: _revenue_pair(body, "-3", "-3"), IntegrityError),
+    "sla conflict": (2, lambda body: [
+        _with_field(line, "sla", "2") if i == _vm_lines(body, "1,1")[1] else line for i, line in enumerate(body)
+    ], IntegrityError),
+    "sample past the departure": (2, lambda body: body + [_with_field(body[-1], "t", "6")], IntegrityError),
+    "sample before the arrival": (1, lambda body: body + [_with_field(body[-1], "t", "1")], IntegrityError),
+    # with no departure, each VM ends after its latest sample, here its first line
+    "reversed, without departures": (0, lambda body: [line for line in body if "departure" not in line][::-1], "trace"),
+}
+
+
+@pytest.mark.parametrize("edit", _BODY_EDITS)
+def test_body_edits_read_as_the_dict_and_sort_reader_reads_them(edit):
+    document_index, apply, expected = _BODY_EDITS[edit]
+    header, *body = _BODY_DOCUMENTS[document_index].decode("utf-8").splitlines()
+    document = _doc_from_lines([header, *apply(body)])
+    outcome = _read_outcome(document)
+    assert outcome == _reference_outcome(document)
+    assert outcome[0] == expected, outcome
