@@ -22,6 +22,9 @@ splitmix64 stream derived from the master seed and an integer path:
 
 Per-VM streams keep a VM's numbers stable when unrelated knobs change: e.g.
 toggling the utilization policy never alters any requested-resource series.
+
+Each quantity is checked once, by ``as_quantity`` where a draw or step makes
+it; specs, utilizations and samples are then built without checking again.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ from .model import (
     UtilizationSample,
     VmDescriptor,
     VmSample,
+    _new_sample,
+    _new_spec,
+    _new_util,
+    as_quantity,
     full_utilization,
 )
 from .rng import SplitMix64, derive_stream
@@ -293,7 +300,7 @@ def evolve_vertical(rng: SplitMix64, spec: ResourceSpec, policy: VerticalPolicy)
     vnet = _step_spec_component(rng, spec.vnet, policy) if policy.vary_net else spec.vnet
     if vcpu is spec.vcpu and vram is spec.vram and vnet is spec.vnet:
         return spec
-    return ResourceSpec(vcpu, vram, vnet)
+    return _new_spec(vcpu, vram, vnet)
 
 
 def _step_spec_component(rng: SplitMix64, value: Decimal, policy: VerticalPolicy) -> Decimal:
@@ -302,11 +309,11 @@ def _step_spec_component(rng: SplitMix64, value: Decimal, policy: VerticalPolicy
     if not rng.chance(policy.p_step):
         return value
     magnitude = rng.uniform(policy.magnitude[0], policy.magnitude[1])
-    if rng.chance(0.5):
+    if rng.coin():
         magnitude = -magnitude
     factor = Decimal(1) + Decimal(repr(magnitude))
     stepped = (value * factor).quantize(policy.quantum, rounding=ROUND_HALF_EVEN)
-    return max(stepped, SPEC_FLOOR)
+    return as_quantity(max(stepped, SPEC_FLOOR))
 
 
 def evolve_horizontal(
@@ -363,7 +370,7 @@ def evolve_utilization(
     unet = _walk(rng, prev.unet, spec.vnet, policy.net_step, allow_exceed) if network else spec.vnet
     if ucpu is prev.ucpu and uram is prev.uram and unet is prev.unet:
         return prev
-    return UtilizationSample(ucpu, uram, unet)
+    return _new_util(ucpu, uram, unet)
 
 
 def _walk(
@@ -376,16 +383,15 @@ def _walk(
     """One component's signed step, clamped to [0, cap]; a zero step that
     stays within the cap returns ``prev`` itself."""
     step = rng.randint(step_range[0], step_range[1])
-    negative = rng.chance(0.5)
+    negative = rng.coin()
     cap = bound * 2 if allow_exceed else bound
     if not step and prev <= cap:
         return prev
     value = prev - step if negative else prev + step
     if value < 0:
         return Decimal(0)
-    if value > cap:
-        return cap
-    return value
+    # checked even inside [0, cap]: twice a request can leave the domain, and as_quantity turns a 0.0 into 0
+    return as_quantity(cap if value > cap else value)
 
 
 @dataclass(frozen=True)
@@ -409,12 +415,12 @@ def _vm_constants(
     positioned just past them, ready to drive the vertical step draws."""
     stream = derive_stream(config.seed, STREAM_VM_SPEC, service_id, dc_id, vm_index)
     sizing = config.sizing
-    spec = ResourceSpec(
-        vcpu=stream.randint(sizing.vcpu[0], sizing.vcpu[1]),
-        vram=stream.randint(sizing.vram[0], sizing.vram[1]),
-        vnet=stream.randint(sizing.vnet[0], sizing.vnet[1]),
+    spec = _new_spec(
+        as_quantity(stream.randint(sizing.vcpu[0], sizing.vcpu[1])),
+        as_quantity(stream.randint(sizing.vram[0], sizing.vram[1])),
+        as_quantity(stream.randint(sizing.vnet[0], sizing.vnet[1])),
     )
-    revenue = Decimal(stream.randint(sizing.revenue[0], sizing.revenue[1]))
+    revenue = as_quantity(stream.randint(sizing.revenue[0], sizing.revenue[1]))
     sla = stream.randint(sizing.sla[0], sizing.sla[1])
     return stream, spec, revenue, sla
 
@@ -667,7 +673,7 @@ def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
     service_id, dc_id, vm_index = key = desc.key
     spec = record.spec
     util = full_utilization(spec)
-    samples = record.samples = [VmSample(service_id, dc_id, vm_index, desc.t_init, spec, util)]
+    samples = record.samples = [_new_sample(service_id, dc_id, vm_index, desc.t_init, spec, util)]
     vertical = caps.vertical
     # the record lets go of the stream, and of the block words it has left
     spec_stream, record.spec_stream = record.spec_stream, None
@@ -691,7 +697,7 @@ def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
             # a step's quantize needed more digits than the decimal context
             # holds, or a walk reached a value as_quantity refuses
             raise _domain_error(key, t) from None
-        samples.append(VmSample(service_id, dc_id, vm_index, t, spec, util))
+        samples.append(_new_sample(service_id, dc_id, vm_index, t, spec, util))
 
 
 def _domain_error(key: tuple[int, int, int], t: int) -> ConfigError:

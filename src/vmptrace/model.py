@@ -134,7 +134,7 @@ def _prechecked(cls):
 
 def full_utilization(spec: ResourceSpec) -> UtilizationSample:
     """Utilization equal to the request, the rule when overbooking is disabled."""
-    return UtilizationSample(ucpu=spec.vcpu, uram=spec.vram, unet=spec.vnet)
+    return _new_util(spec.vcpu, spec.vram, spec.vnet)
 
 
 def _check_id(name: str, value: int) -> None:
@@ -217,6 +217,10 @@ class VmSample:
     @property
     def sort_key(self) -> tuple[int, int, int, int]:
         return (self.t, self.service_id, self.dc_id, self.vm_index)
+
+
+# builders for values already checked where they were drawn, stepped or read
+_new_spec, _new_util, _new_sample, _new_descriptor = map(_prechecked, (ResourceSpec, UtilizationSample, VmSample, VmDescriptor))
 
 
 class EventKind(Enum):
@@ -328,9 +332,10 @@ class Trace:
         object.__setattr__(self, "samples", tuple(self.samples))
         seen: set[tuple[int, int, int]] = set()
         for desc in self.descriptors:
-            if desc.key in seen:
-                raise ValidationError(f"duplicate VM identity {desc.key}")
-            seen.add(desc.key)
+            key = desc.key
+            if key in seen:
+                raise ValidationError(f"duplicate VM identity {key}")
+            seen.add(key)
 
     def descriptor_map(self) -> dict[tuple[int, int, int], VmDescriptor]:
         return {desc.key: desc for desc in self.descriptors}

@@ -128,6 +128,11 @@ class SplitMix64:
             return True
         return self.next_float() < p
 
+    def coin(self) -> bool:
+        """True with probability 1/2, exactly ``chance(0.5)``: its
+        ``(word >> 11) * 2**-53 < 0.5`` holds just when ``word < 2**63``."""
+        return self.next_u64() < 1 << 63
+
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 

@@ -51,7 +51,10 @@ from .model import (
     UtilizationSample,
     VmSample,
     VmDescriptor,
-    _prechecked,
+    _new_descriptor,
+    _new_sample,
+    _new_spec,
+    _new_util,
     as_quantity,
     quantity_text,
 )
@@ -87,8 +90,6 @@ _scan_sample = re.compile(
     + f',"revenue":({_QUANTITY_TEXT}),"sla":{_ID_TEXT}'
     + re.escape("}")
 ).fullmatch
-# builders for values read_trace has already checked
-_new_spec, _new_util, _new_sample = map(_prechecked, (ResourceSpec, UtilizationSample, VmSample))
 # one decoder for every line; json.loads(..., parse_float=Decimal) builds a new one per call
 _DECODER = json.JSONDecoder(parse_float=Decimal)
 
@@ -504,8 +505,10 @@ def _reconstruct_descriptors(events: list[TraceEvent], vms: dict, conflicts: dic
             raise IntegrityError(f"VM {key} has a sample at t={t_min} before its start at t={t_init}")
         if t_max >= t_end:
             raise IntegrityError(f"VM {key} has a sample at t={t_max} at or past its end at t={t_end}")
+        # ids, ticks and a positive Decimal revenue are checked by now; other revenues and SLAs go through the constructor
+        build = _new_descriptor if type(revenue) is Decimal and revenue > 0 and sla >= 1 else VmDescriptor
         try:
-            descriptors.append(VmDescriptor(service_id, key[1], key[2], revenue, sla, t_init, t_end))
+            descriptors.append(build(service_id, key[1], key[2], revenue, sla, t_init, t_end))
         except ValidationError as exc:
             raise IntegrityError(f"VM {key}: {exc}") from None
     return descriptors

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmptrace import generator, model
 from vmptrace.analysis import classify, validate
 from vmptrace.environments import enumerate_environments, env_from_coords
 from vmptrace.errors import ConfigError, VmpTraceError
@@ -317,6 +318,56 @@ def test_utilization_walk_may_exceed_the_request_when_allowed():
         assert util.unet <= 2 * spec.vnet
         exceeded = exceeded or util.ucpu > spec.vcpu
     assert exceeded
+
+
+def test_a_walk_landing_on_zero_returns_the_canonical_zero():
+    # 2.0 - 2 is Decimal("0.0"); the walk hands back the 0 that as_quantity
+    # makes of it, since repr and stats JSON show the exponent
+    two = Decimal("2.0")
+    policy = UtilizationPolicy(cpu_step=(2, 2), ram_step=(2, 2), net_step=(2, 2))
+    result = evolve_utilization(
+        SplitMix64(6), UtilizationSample(two, two, two), ResourceSpec(two, two, two), policy, server=True, network=True
+    )
+    assert repr(result) == repr(UtilizationSample(Decimal(0), Decimal(0), two))
+
+
+@pytest.mark.parametrize("coords", [(3, 3), (1, 0)])
+def test_the_fill_path_checks_each_quantity_once_and_builds_without_checking(monkeypatch, coords):
+    config = default_config(env_from_coords(*coords), seed=5, horizon=12)
+    trace = generate(config)
+    specs = {id(sample.spec) for sample in trace.samples}
+    utils = {id(sample.util) for sample in trace.samples}
+    assert len(specs) < len(trace.samples) and len(utils) < len(trace.samples)
+    # each quantity is checked where a draw or step makes it, then built
+    # into a spec, utilization and sample without checking again: the model
+    # constructors, which would check it a second time, are not called
+    names = ("as_quantity", "_new_spec", "_new_util", "_new_sample", "ResourceSpec", "UtilizationSample", "VmSample")
+    built = {name: [] for name in names}
+    for module, name in [(generator, name) for name in names] + [(model, "_new_util")]:
+        def counting(*args, name=name, real=getattr(module, name)):
+            result = real(*args)
+            built[name].append((args, result))
+            return result
+
+        monkeypatch.setattr(module, name, counting)
+    again = generate(config)
+    assert repr(again) == repr(trace)
+    assert len(built["_new_spec"]) == len(specs)
+    assert len(built["_new_util"]) == len(utils)
+    assert len(built["_new_sample"]) == len(trace.samples)
+    assert not built["ResourceSpec"] and not built["UtilizationSample"] and not built["VmSample"]
+    # three sizes and a revenue drawn per VM are the only ints checked, and
+    # every value checked is one the trace holds, none made and dropped
+    assert sum(type(args[0]) is int for args, _ in built["as_quantity"]) == 4 * len(trace.descriptors)
+    held = {id(desc.revenue) for desc in again.descriptors} | {
+        id(getattr(part, name))
+        for sample in again.samples
+        for part, names in ((sample.spec, ("vcpu", "vram", "vnet")), (sample.util, ("ucpu", "uram", "unet")))
+        for name in names
+    }
+    assert {id(result) for _, result in built["as_quantity"]} <= held
+    if coords == (1, 0):
+        assert len(built["as_quantity"]) == 4 * len(trace.descriptors)
 
 
 def test_config_checks_reject_bad_fields():

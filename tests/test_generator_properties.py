@@ -16,7 +16,7 @@ import dataclasses
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vmptrace import generator
 from vmptrace.analysis import MODE_STRICT, classify, validate
@@ -124,18 +124,35 @@ def test_generated_traces_sit_where_the_config_puts_them(environment, data):
         assert report.ok, report.violations[:3]
 
 
+# at precision 1 a step of magnitude 0 rewrites each request 1 as 1.0; the
+# walk clamps to it, and its next step of 1 down makes 0.0, which the trace
+# must hold as 0
+_WALK_ONTO_ZERO = GeneratorConfig(
+    environment=ENVIRONMENTS[-1],
+    horizon=8,
+    num_datacenters=1,
+    seed=3,
+    sizing=SizingRanges(vcpu=(1, 1), vram=(1, 1), vnet=(1, 1)),
+    vertical_policy=VerticalPolicy(p_step=0.9, magnitude=(0.0, 0.0), vary_net=True, precision=1),
+    utilization_policy=UtilizationPolicy(cpu_step=(1, 1), ram_step=(1, 1), net_step=(1, 1)),
+)
+
+
 @pytest.mark.parametrize("environment", ENVIRONMENTS, ids=str)
-@_PROPERTY_SETTINGS
-@given(data=st.data())
-def test_the_fill_loop_matches_the_reference_loop(environment, data):
-    config = data.draw(_small_configs(environment))
-    trace = _outcome(config)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(generator, "_fill_series", _reference_fill_series)
-        expected = _outcome(config)
-    assert repr(trace) == repr(expected)
-    if not isinstance(trace, ConfigError):
-        assert list(trace.samples) == sorted(trace.samples, key=lambda sample: sample.sort_key)
+def test_the_fill_loop_matches_the_reference_loop(environment):
+    @_PROPERTY_SETTINGS
+    @given(_small_configs(environment))
+    @example(dataclasses.replace(_WALK_ONTO_ZERO, environment=environment))
+    def check(config):
+        trace = _outcome(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "_fill_series", _reference_fill_series)
+            expected = _outcome(config)
+        assert repr(trace) == repr(expected)
+        if not isinstance(trace, ConfigError):
+            assert list(trace.samples) == sorted(trace.samples, key=lambda sample: sample.sort_key)
+
+    check()
 
 
 # the reference loop: every tick steps the spec and walks the utilization

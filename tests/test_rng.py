@@ -141,6 +141,25 @@ def test_chance_edge_probabilities_consume_no_draws():
     assert stream.next_u64() == untouched.next_u64()
 
 
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_coin_is_chance_one_half_across_block_boundaries(seed):
+    stream, twin = SplitMix64(seed), SplitMix64(seed)
+    count = SINGLE_WORDS + 3 * BLOCK_WORDS + 1
+    assert [stream.coin() for _ in range(count)] == [twin.chance(0.5) for _ in range(count)]
+    assert stream.next_u64() == twin.next_u64()
+
+
+def test_coin_splits_at_two_to_the_63():
+    class _Word(SplitMix64):
+        def next_u64(self) -> int:
+            return self.word
+
+    stream = _Word(0)
+    for word, heads in ((0, True), (2**63 - 1, True), (2**63, False), (2**64 - 1, False)):
+        stream.word = word
+        assert stream.coin() is heads and stream.chance(0.5) is heads
+
+
 def test_chance_frequency_tracks_the_probability():
     stream = SplitMix64(2026)
     hits = sum(1 for _ in range(20000) if stream.chance(0.25))
@@ -202,6 +221,8 @@ def _draw(stream: SplitMix64, op: str, arg):
         return stream.next_u64()
     if op == "chance":
         return stream.chance(arg)
+    if op == "coin":
+        return stream.coin()
     if op == "randint":
         return stream.randint(*arg)
     if op == "uniform":
@@ -216,7 +237,7 @@ def _script(seed: int, length: int):
     pick = random.Random(seed)
     ops = []
     for _ in range(length):
-        op = pick.choice(("next_u64", "chance", "randint", "uniform", "poisson", "choice"))
+        op = pick.choice(("next_u64", "chance", "coin", "randint", "uniform", "poisson", "choice"))
         if op == "chance":
             arg = pick.choice((0.0, 0.25, 0.5, 0.9, 1.0))
         elif op == "randint":

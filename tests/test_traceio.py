@@ -260,6 +260,25 @@ def test_equal_revenues_in_different_spellings_agree():
     assert trace.descriptor_map()[(1, 1, 1)].revenue == Decimal(5)
 
 
+def test_descriptor_revenues_and_slas_the_reader_has_not_checked_go_through_the_constructor():
+    # a space after the colon sends a line past the canonical pattern, so its
+    # revenue is decoded as written: the int 5, or a -0 the constructor makes 0
+    for spelling, expected in (("5", "Decimal('5')"), ("-0", "Decimal('0')"), ("0.0", "Decimal('0')"), ("2.50", "Decimal('2.50')")):
+        lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+        vm_lines = [i for i, line in enumerate(lines) if '"dc":1,"vm":1,' in line]
+        for i in vm_lines:
+            lines[i] = lines[i].replace('"revenue":0', f'"revenue": {spelling}')
+        revenue = read_trace(_doc_from_lines(lines)).descriptor_map()[(1, 1, 1)].revenue
+        assert repr(revenue) == expected, spelling
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    # a positive revenue, so only the SLA sends the descriptor through the constructor
+    for i, line in enumerate(lines):
+        if '"dc":1,"vm":1,' in line:
+            lines[i] = line.replace('"revenue":0', '"revenue":5').replace('"sla":1', '"sla":0')
+    with pytest.raises(IntegrityError, match=r"^VM \(1, 1, 1\): sla must be an integer >= 1, got 0$"):
+        read_trace(_doc_from_lines(lines))
+
+
 def test_repeated_scale_out_for_one_vm_is_rejected():
     lines = _doc_lines(fixture_trace(FixtureId.ENV_1_0))
     extra = '{"type":"event","t":3,"kind":"vm_scale_out","service":2,"dc":1,"vm":3}'
@@ -364,20 +383,23 @@ def test_reader_checks_each_distinct_quantity_and_triple_once(monkeypatch):
     assert len(spec_triples) < len(rows) and len(util_triples) < len(rows)
     # each value is checked once, then built without checking again: the
     # model constructors, which would check it a second time, are not called
-    names = ("as_quantity", "_new_spec", "_new_util", "_new_sample", "ResourceSpec", "UtilizationSample", "VmSample")
-    built = {name: [] for name in names}
-    for name in names:
+    names = ("as_quantity", "_new_spec", "_new_util", "_new_sample", "_new_descriptor")
+    checking = ("ResourceSpec", "UtilizationSample", "VmSample", "VmDescriptor")
+    built = {name: [] for name in names + checking}
+    for name in names + checking:
         def counting(*args, name=name, real=getattr(traceio, name)):
             built[name].append(args)
             return real(*args)
 
         monkeypatch.setattr(traceio, name, counting)
-    assert read_trace(document) == trace
+    assert repr(read_trace(document)) == repr(trace)
     assert sorted(value for (value,) in built["as_quantity"]) == sorted(map(Decimal, texts))
     assert len(built["_new_spec"]) == len(spec_triples)
     assert len(built["_new_util"]) == len(util_triples)
     assert len(built["_new_sample"]) == len(rows)
-    assert not built["ResourceSpec"] and not built["UtilizationSample"] and not built["VmSample"]
+    # every revenue is positive, so each descriptor is built from fields already checked
+    assert len(built["_new_descriptor"]) == len(trace.descriptors)
+    assert not any(built[name] for name in checking)
 
 
 def test_reader_keeps_each_decimal_spelling():
