@@ -14,8 +14,21 @@ the bound rule and skips the server 100%-utilization rule when the declared
 environment has vertical elasticity.
 
 Classification infers the smallest environment whose capabilities explain a
-trace's observed dynamics. All three entry points are read-only over the
-immutable trace and safe to call concurrently.
+trace's observed dynamics.
+
+Both share one observation pass over the trace. It finds the structural
+violations and the first witness of each dynamic: a spec change between
+consecutive alive ticks, a membership change, a server gap, a network gap,
+and a server or network excess for the strict bound rule. Its result is
+cached on the ``Trace`` instance, as the population index is, and holds only
+those findings and witnesses, never a per-sample list. ``classify`` reads
+its capabilities off the witnesses. ``validate`` scans the samples for
+conformance only when a rule can fire: the declared environment lacks a
+capability that has a witness, or strict mode has an excess witness.
+
+All three entry points are read-only over the immutable trace and safe to
+call concurrently: two threads may both run the pass on a trace with none
+cached yet, with identical results, and either result is kept.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from itertools import pairwise
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
 from .errors import IntegrityError, ValidationError
 from .model import EventKind, Trace, VmSample, dc_population, quantity_text
+from .traceio import _Shared
 
 MODE_STRICT = "strict"
 MODE_PAPER = "paper"
@@ -118,7 +132,49 @@ def _vm_violation(rule: str, message: str, sample_or_key, t: int | None = None) 
     return Violation(rule, message, t=t, service_id=key[0], dc_id=key[1], vm_index=key[2])
 
 
-def _structural_violations(trace: Trace) -> list[Violation]:
+@dataclass(frozen=True, slots=True)
+class _Observation:
+    """What one pass over a trace finds: its structural violations and the
+    first witness of each dynamic, ``None`` where the trace shows none.
+    ``horizontal`` is a ``_membership_changes`` entry, the others samples."""
+
+    structural: tuple[Violation, ...]
+    vertical: VmSample | None
+    horizontal: tuple | None
+    server: VmSample | None
+    network: VmSample | None
+    server_excess: VmSample | None
+    network_excess: VmSample | None
+
+
+def _observation(trace: Trace) -> _Observation:
+    """The pass's result for ``trace``, computed on first use and cached on
+    the instance as its population index is. Besides the structural
+    findings it holds one sample per witness and no per-sample list: long
+    lived lists there pin allocator arenas and raise peak RSS."""
+    seen = trace.__dict__.get("_observation")
+    if seen is None:
+        seen = trace.__dict__["_observation"] = _observe(trace)
+    return seen
+
+
+def _with_previous(samples: tuple[VmSample, ...]):
+    """``(index, vm key, previous, sample)`` for every sample in tick order,
+    where ``previous`` is the same VM's sample just before it in that order, or
+    None. Samples out of tick order, as a hand-built trace may hold them, are
+    visited in a stable sort by tick, which keeps same-tick samples, and so
+    duplicates, in their given order."""
+    order = enumerate(samples)
+    if any(earlier.t > later.t for earlier, later in pairwise(samples)):
+        order = sorted(order, key=lambda item: item[1].t)
+    last: dict[tuple[int, int, int], VmSample] = {}
+    for index, sample in order:
+        key = (sample.service_id, sample.dc_id, sample.vm_index)
+        yield index, key, last.get(key), sample
+        last[key] = sample
+
+
+def _observe(trace: Trace) -> _Observation:
     out: list[Violation] = []
     header = trace.header
     by_key = trace.descriptor_map()
@@ -150,163 +206,99 @@ def _structural_violations(trace: Trace) -> list[Violation]:
                 )
             )
 
-    seen: set[tuple[int, int, int, int]] = set()
-    present: dict[tuple[int, int, int], set[int]] = {key: set() for key in by_key}
-    for sample in trace.samples:
-        desc = by_key.get(sample.vm_key)
+    # dynamics are witnessed on every sample, as conformance checks every
+    # sample; in tick order a known VM's sample repeats a tick exactly when
+    # its previous sample is at that tick
+    vertical = server = network = server_excess = network_excess = None
+    misplaced: list[tuple[int, Violation]] = []
+    covered = 0
+    for index, key, previous, sample in _with_previous(trace.samples):
+        spec, util = sample.spec, sample.util
+        if vertical is None and previous is not None and spec_changed(previous, sample):
+            vertical = sample
+        if server is None and server_gap(sample):
+            server = sample
+        if network is None and network_gap(sample):
+            network = sample
+        if server_excess is None and (util.ucpu > spec.vcpu or util.uram > spec.vram):
+            server_excess = sample
+        if network_excess is None and util.unet > spec.vnet:
+            network_excess = sample
+        desc = by_key.get(key)
         if desc is None:
-            out.append(_vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", sample))
-            continue
-        full_key = (sample.t, *sample.vm_key)
-        if full_key in seen:
-            out.append(_vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", sample))
-            continue
-        seen.add(full_key)
-        present[sample.vm_key].add(sample.t)
-        if not desc.alive_at(sample.t):
-            out.append(
-                _vm_violation(
-                    RULE_LIFETIME,
-                    f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})",
-                    sample,
-                )
-            )
-
-    for desc in trace.descriptors:
-        for t in range(desc.t_init, desc.t_end):
-            if t not in present[desc.key]:
-                out.append(_vm_violation(RULE_DENSE_SAMPLING, "missing sample for an alive tick", desc.key, t=t))
-
-    _event_violations(trace, out)
-    return out
-
-
-def _event_violations(trace: Trace, out: list[Violation]) -> None:
-    header = trace.header
-    by_key = trace.descriptor_map()
-    known_services = set(trace.service_ids())
-
-    arrivals: dict[int, list[int]] = {}
-    departures: dict[int, list[int]] = {}
-    scale_outs: dict[tuple[int, int, int], list[int]] = {}
-    scale_ins: dict[tuple[int, int, int], list[int]] = {}
-    for index, event in enumerate(trace.events):
-        if event.t > header.horizon:
-            out.append(
-                Violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"event at t={event.t} is past horizon {header.horizon}",
-                    event_index=index,
-                )
-            )
-        if event.kind.is_scale:
-            key = (event.service_id, event.dc_id, event.vm_index)
-            if key not in by_key:
-                out.append(
-                    Violation(
-                        RULE_EVENT_CONSISTENCY,
-                        f"{event.kind.value} references unknown VM {key}",
-                        event_index=index,
-                    )
-                )
-                continue
-            target = scale_outs if event.kind is EventKind.VM_SCALE_OUT else scale_ins
-            target.setdefault(key, []).append(event.t)
+            misplaced.append((index, _vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", sample)))
+        elif previous is not None and previous.t == sample.t:
+            misplaced.append((index, _vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", sample)))
+        elif desc.t_init <= sample.t < desc.t_end:
+            covered += 1
         else:
-            if event.service_id not in known_services:
-                out.append(
-                    Violation(
-                        RULE_EVENT_CONSISTENCY,
-                        f"{event.kind.value} references unknown service {event.service_id}",
-                        event_index=index,
-                    )
-                )
-                continue
-            target = arrivals if event.kind is EventKind.SERVICE_ARRIVAL else departures
-            target.setdefault(event.service_id, []).append(event.t)
+            message = f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})"
+            misplaced.append((index, _vm_violation(RULE_LIFETIME, message, sample)))
+    # reported in the trace's own sample order, however they were visited
+    misplaced.sort(key=lambda item: item[0])
+    out.extend(violation for _, violation in misplaced)
+
+    # each covered sample is a distinct alive (tick, VM); look for the
+    # missing ones only when they do not fill every lifetime
+    if covered != sum(desc.t_end - desc.t_init for desc in trace.descriptors):
+        present = {(sample.t, sample.vm_key) for sample in trace.samples}
+        for desc in trace.descriptors:
+            for t in range(desc.t_init, desc.t_end):
+                if (t, desc.key) not in present:
+                    out.append(_vm_violation(RULE_DENSE_SAMPLING, "missing sample for an alive tick", desc.key, t=t))
 
     spans = _service_spans(trace)
-    for service_id in sorted(known_services):
-        span_start, span_end = spans[service_id]
-        arr = arrivals.get(service_id, [])
-        dep = departures.get(service_id, [])
-        if len(arr) != 1:
-            out.append(
-                Violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"service {service_id} has {len(arr)} arrival events, expected 1",
-                    service_id=service_id,
-                )
-            )
-        elif arr[0] != span_start:
-            out.append(
-                Violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"service {service_id} arrival at t={arr[0]} but its first VM starts at t={span_start}",
-                    t=arr[0],
-                    service_id=service_id,
-                )
-            )
-        if len(dep) != 1:
-            out.append(
-                Violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"service {service_id} has {len(dep)} departure events, expected 1",
-                    service_id=service_id,
-                )
-            )
-        elif dep[0] != span_end:
-            out.append(
-                Violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"service {service_id} departure at t={dep[0]} but its last VM ends at t={span_end}",
-                    t=dep[0],
-                    service_id=service_id,
-                )
-            )
+    _event_violations(trace, by_key, spans, out)
+    horizontal = min(_membership_changes(trace, spans), default=None)
+    return _Observation(tuple(out), vertical, horizontal, server, network, server_excess, network_excess)
 
+
+def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, int]], out: list[Violation]) -> None:
+    horizon = trace.header.horizon
+    # event ticks by (kind, service id), or (kind, vm key) for scale events
+    times: dict[tuple, list[int]] = {}
+    for index, event in enumerate(trace.events):
+        if event.t > horizon:
+            out.append(Violation(RULE_EVENT_CONSISTENCY, f"event at t={event.t} is past horizon {horizon}", event_index=index))
+        if event.kind.is_scale:
+            subject, known, noun = (event.service_id, event.dc_id, event.vm_index), by_key, "VM"
+        else:
+            subject, known, noun = event.service_id, spans, "service"
+        if subject in known:
+            times.setdefault((event.kind, subject), []).append(event.t)
+        else:
+            message = f"{event.kind.value} references unknown {noun} {subject}"
+            out.append(Violation(RULE_EVENT_CONSISTENCY, message, event_index=index))
+
+    for service_id in sorted(spans):
+        start, end = spans[service_id]
+        for kind, name, t, edge in (
+            (EventKind.SERVICE_ARRIVAL, "arrival", start, "first VM starts"),
+            (EventKind.SERVICE_DEPARTURE, "departure", end, "last VM ends"),
+        ):
+            ticks = times.get((kind, service_id), [])
+            if len(ticks) != 1:
+                message = f"service {service_id} has {len(ticks)} {name} events, expected 1"
+                out.append(Violation(RULE_EVENT_CONSISTENCY, message, service_id=service_id))
+            elif ticks[0] != t:
+                message = f"service {service_id} {name} at t={ticks[0]} but its {edge} at t={t}"
+                out.append(Violation(RULE_EVENT_CONSISTENCY, message, t=ticks[0], service_id=service_id))
+
+    # a VM that joins or leaves its service mid-lifetime has exactly one scale
+    # event there, and any other VM none of that kind
     for desc in trace.descriptors:
-        span_start, span_end = spans[desc.service_id]
-        outs = scale_outs.get(desc.key, [])
-        ins = scale_ins.get(desc.key, [])
-        if desc.t_init > span_start:
-            if outs != [desc.t_init]:
-                out.append(
-                    _vm_violation(
-                        RULE_EVENT_CONSISTENCY,
-                        f"VM starts mid-lifetime at t={desc.t_init} but its scale-out events are at {outs}",
-                        desc.key,
-                        t=desc.t_init,
-                    )
-                )
-        elif outs:
-            out.append(
-                _vm_violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"VM present from service start must not have scale-out events, got {outs}",
-                    desc.key,
-                    t=desc.t_init,
-                )
-            )
-        if desc.t_end < span_end:
-            if ins != [desc.t_end]:
-                out.append(
-                    _vm_violation(
-                        RULE_EVENT_CONSISTENCY,
-                        f"VM ends mid-lifetime at t={desc.t_end} but its scale-in events are at {ins}",
-                        desc.key,
-                        t=desc.t_end,
-                    )
-                )
-        elif ins:
-            out.append(
-                _vm_violation(
-                    RULE_EVENT_CONSISTENCY,
-                    f"VM alive until service end must not have scale-in events, got {ins}",
-                    desc.key,
-                    t=desc.t_end,
-                )
-            )
+        start, end = spans[desc.service_id]
+        for kind, name, t, mid, verb, whole in (
+            (EventKind.VM_SCALE_OUT, "scale-out", desc.t_init, desc.t_init > start, "starts", "present from service start"),
+            (EventKind.VM_SCALE_IN, "scale-in", desc.t_end, desc.t_end < end, "ends", "alive until service end"),
+        ):
+            ticks = times.get((kind, desc.key), [])
+            if mid and ticks != [t]:
+                message = f"VM {verb} mid-lifetime at t={t} but its {name} events are at {ticks}"
+                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t=t))
+            elif not mid and ticks:
+                message = f"VM {whole} must not have {name} events, got {ticks}"
+                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t=t))
 
 
 def _service_spans(trace: Trace) -> dict[int, tuple[int, int]]:
@@ -315,15 +307,6 @@ def _service_spans(trace: Trace) -> dict[int, tuple[int, int]]:
         start, end = spans.get(desc.service_id, (desc.t_init, desc.t_end))
         spans[desc.service_id] = (min(start, desc.t_init), max(end, desc.t_end))
     return spans
-
-
-def _samples_by_vm(trace: Trace) -> dict[tuple[int, int, int], list[VmSample]]:
-    grouped: dict[tuple[int, int, int], list[VmSample]] = {}
-    for sample in trace.samples:
-        grouped.setdefault(sample.vm_key, []).append(sample)
-    for series in grouped.values():
-        series.sort(key=lambda s: s.t)
-    return grouped
 
 
 def spec_changed(prev: VmSample, cur: VmSample) -> bool:
@@ -342,62 +325,54 @@ def network_gap(sample: VmSample) -> bool:
     return sample.util.unet != sample.spec.vnet
 
 
-def _spec_changes(trace: Trace) -> list[VmSample]:
-    """Samples at which a VM's spec differs from its previous alive tick."""
-    grouped = _samples_by_vm(trace)
-    return [cur for key in sorted(grouped) for prev, cur in pairwise(grouped[key]) if spec_changed(prev, cur)]
-
-
-def _membership_changes(trace: Trace) -> list[tuple[int, tuple[int, int, int], str]]:
-    """(t, vm key, "joins" | "leaves") for per-service count changes strictly
-    inside the service's lifetime."""
-    changes = []
-    by_service: dict[int, list] = {}
+def _membership_changes(trace: Trace, spans: dict[int, tuple[int, int]]):
+    """``(service_id, t, leaves, vm key)`` for each per-service VM count
+    change strictly inside the service's lifetime: a VM joins at ``t_init``
+    after its service starts, and leaves at ``t_end`` before it ends. Sorted,
+    the entries run by service and tick, joins before leaves."""
     for desc in trace.descriptors:
-        by_service.setdefault(desc.service_id, []).append(desc)
-    spans = _service_spans(trace)
-    for service_id in sorted(by_service):
-        span_start, span_end = spans[service_id]
-        members = by_service[service_id]
-        previous = {d.key for d in members if d.alive_at(span_start)}
-        for t in range(span_start + 1, span_end):
-            current = {d.key for d in members if d.alive_at(t)}
-            for key in sorted(current - previous):
-                changes.append((t, key, "joins"))
-            for key in sorted(previous - current):
-                changes.append((t, key, "leaves"))
-            previous = current
-    return changes
+        start, end = spans[desc.service_id]
+        if desc.t_init > start:
+            yield desc.service_id, desc.t_init, False, desc.key
+        if desc.t_end < end:
+            yield desc.service_id, desc.t_end, True, desc.key
 
 
-def _conformance_violations(trace: Trace, caps: Capabilities, mode: str) -> list[Violation]:
+def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities, mode: str) -> list[Violation]:
+    """Findings of the rules that can fire, each one gated on its witness:
+    the full lists behind a witness are rebuilt here, never cached."""
     out: list[Violation] = []
 
-    if not caps.vertical:
-        for sample in _spec_changes(trace):
-            out.append(
-                _vm_violation(
-                    RULE_NO_VERTICAL,
-                    f"requested resources change at t={sample.t} but the environment has no vertical elasticity",
-                    sample,
-                )
-            )
+    if not caps.vertical and seen.vertical is not None:
+        changes = [s for _, _, previous, s in _with_previous(trace.samples) if previous is not None and spec_changed(previous, s)]
+        # a stable sort: each VM's changes stay in tick order
+        for sample in sorted(changes, key=lambda sample: sample.vm_key):
+            message = f"requested resources change at t={sample.t} but the environment has no vertical elasticity"
+            out.append(_vm_violation(RULE_NO_VERTICAL, message, sample))
 
-    if not caps.horizontal:
-        for t, key, what in _membership_changes(trace):
+    if not caps.horizontal and seen.horizontal is not None:
+        for _, t, leaves, key in sorted(_membership_changes(trace, _service_spans(trace))):
             out.append(
                 _vm_violation(
                     RULE_NO_HORIZONTAL,
-                    f"VM {what} its service mid-lifetime at t={t} but the environment has no horizontal elasticity",
+                    f"VM {'leaves' if leaves else 'joins'} its service mid-lifetime at t={t} "
+                    "but the environment has no horizontal elasticity",
                     key,
                     t=t,
                 )
             )
 
     # one pass over the samples; violations stay grouped by rule
-    check_server_equality = not caps.server_overbooking and not (mode == MODE_PAPER and caps.vertical)
-    bound_server = mode == MODE_STRICT and caps.server_overbooking
-    bound_network = mode == MODE_STRICT and caps.network_overbooking
+    check_server_equality = (
+        not caps.server_overbooking and not (mode == MODE_PAPER and caps.vertical) and seen.server is not None
+    )
+    check_network_equality = not caps.network_overbooking and seen.network is not None
+    bound_server = mode == MODE_STRICT and caps.server_overbooking and seen.server_excess is not None
+    bound_network = mode == MODE_STRICT and caps.network_overbooking and seen.network_excess is not None
+    if not (check_server_equality or check_network_equality or bound_server or bound_network):
+        return out
+    # each distinct quantity rendered once, as the writer renders them
+    text = _Shared(quantity_text)
     server_out: list[Violation] = []
     network_out: list[Violation] = []
     bound_out: list[Violation] = []
@@ -406,9 +381,9 @@ def _conformance_violations(trace: Trace, caps: Capabilities, mode: str) -> list
         if check_server_equality and server_gap(sample):
             mismatches = []
             if util.ucpu != spec.vcpu:
-                mismatches.append(f"ucpu {quantity_text(util.ucpu)} != vcpu {quantity_text(spec.vcpu)}")
+                mismatches.append(f"ucpu {text[util.ucpu]} != vcpu {text[spec.vcpu]}")
             if util.uram != spec.vram:
-                mismatches.append(f"uram {quantity_text(util.uram)} != vram {quantity_text(spec.vram)}")
+                mismatches.append(f"uram {text[util.uram]} != vram {text[spec.vram]}")
             server_out.append(
                 _vm_violation(
                     RULE_NO_SERVER_OVERBOOKING,
@@ -416,23 +391,23 @@ def _conformance_violations(trace: Trace, caps: Capabilities, mode: str) -> list
                     sample,
                 )
             )
-        if not caps.network_overbooking and network_gap(sample):
+        if check_network_equality and network_gap(sample):
             network_out.append(
                 _vm_violation(
                     RULE_NO_NETWORK_OVERBOOKING,
                     f"network utilization must equal the request without network overbooking: "
-                    f"unet {quantity_text(util.unet)} != vnet {quantity_text(spec.vnet)}",
+                    f"unet {text[util.unet]} != vnet {text[spec.vnet]}",
                     sample,
                 )
             )
         excesses = []
         if bound_server:
             if util.ucpu > spec.vcpu:
-                excesses.append(f"ucpu {quantity_text(util.ucpu)} > vcpu {quantity_text(spec.vcpu)}")
+                excesses.append(f"ucpu {text[util.ucpu]} > vcpu {text[spec.vcpu]}")
             if util.uram > spec.vram:
-                excesses.append(f"uram {quantity_text(util.uram)} > vram {quantity_text(spec.vram)}")
+                excesses.append(f"uram {text[util.uram]} > vram {text[spec.vram]}")
         if bound_network and util.unet > spec.vnet:
-            excesses.append(f"unet {quantity_text(util.unet)} > vnet {quantity_text(spec.vnet)}")
+            excesses.append(f"unet {text[util.unet]} > vnet {text[spec.vnet]}")
         if excesses:
             bound_out.append(
                 _vm_violation(RULE_OVERBOOKING_BOUND, "utilization exceeds the request: " + ", ".join(excesses), sample)
@@ -448,9 +423,9 @@ def validate(trace: Trace, mode: str = MODE_STRICT, declared: EnvironmentId | No
         raise ValidationError(f"mode must be {MODE_STRICT!r} or {MODE_PAPER!r}, got {mode!r}")
     if declared is None:
         declared = trace.header.environment
-    violations = _structural_violations(trace)
-    violations.extend(_conformance_violations(trace, capabilities(declared), mode))
-    return ValidationReport(mode=mode, declared=declared, violations=tuple(violations))
+    seen = _observation(trace)
+    violations = (*seen.structural, *_conformance_violations(trace, seen, capabilities(declared), mode))
+    return ValidationReport(mode=mode, declared=declared, violations=violations)
 
 
 def classify(trace: Trace, *, arrival_as_horizontal: bool = False) -> EnvironmentId:
@@ -463,16 +438,15 @@ def classify(trace: Trace, *, arrival_as_horizontal: bool = False) -> Environmen
     sample where that class's utilization differs from the request.
     Refuses structurally invalid traces.
     """
-    structural = _structural_violations(trace)
-    if structural:
-        first = structural[0]
+    seen = _observation(trace)
+    if seen.structural:
+        first = seen.structural[0]
         raise IntegrityError(
             f"refusing to classify a structurally invalid trace "
-            f"({len(structural)} violation(s); first: [{first.rule}] {first.location_text()} {first.message})"
+            f"({len(seen.structural)} violation(s); first: [{first.rule}] {first.location_text()} {first.message})"
         )
 
-    vertical = bool(_spec_changes(trace))
-    horizontal = bool(_membership_changes(trace))
+    horizontal = seen.horizontal is not None
     if not horizontal and arrival_as_horizontal:
         spans = _service_spans(trace)
         for service_id, (start, _) in spans.items():
@@ -482,14 +456,12 @@ def classify(trace: Trace, *, arrival_as_horizontal: bool = False) -> Environmen
             ):
                 horizontal = True
                 break
-    server = any(server_gap(sample) for sample in trace.samples)
-    network = any(network_gap(sample) for sample in trace.samples)
     return env_from_capabilities(
         Capabilities(
             horizontal=horizontal,
-            vertical=vertical,
-            server_overbooking=server,
-            network_overbooking=network,
+            vertical=seen.vertical is not None,
+            server_overbooking=seen.server is not None,
+            network_overbooking=seen.network is not None,
         )
     )
 

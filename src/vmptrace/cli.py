@@ -131,7 +131,10 @@ def handle_fixture(args: argparse.Namespace) -> int:
 def handle_validate(args: argparse.Namespace) -> int:
     trace = _read_input(args.infile)
     report = validate(trace, args.mode, declared=args.declared)
-    sys.stdout.write(report.render_text())
+    if args.format == "json":
+        sys.stdout.write(dump_json(report.to_json_dict(), indent=2) + "\n")
+    else:
+        sys.stdout.write(report.render_text())
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -201,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="environment to check against (default: the trace header's)",
     )
+    p_validate.add_argument("--format", choices=["text", "json"], default="text")
     p_validate.set_defaults(func=handle_validate)
 
     p_classify = sub.add_parser("classify", help="infer the smallest environment explaining a trace")

@@ -318,7 +318,8 @@ class Trace:
 
     The population index behind ``dc_population`` and ``service_vm_count``
     is built on first use and cached on the instance, so it lives exactly as
-    long as the trace does.
+    long as the trace does. The analysis layer caches its observation pass
+    on the instance in the same way.
     """
 
     header: TraceHeader

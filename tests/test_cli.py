@@ -64,6 +64,37 @@ def test_validate_against_a_declared_environment(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
 
 
+def test_validate_json_report(tmp_path, capsys):
+    out = tmp_path / "ex1.vmpt.jsonl"
+    assert _run(["fixture", "--id", "0,1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert _run(["validate", "--in", str(out), "--format", "json"]) == EXIT_VALIDATION
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert list(report) == ["mode", "declared_environment", "ok", "violations"]
+    assert (report["mode"], report["declared_environment"], report["ok"]) == ("strict", [0, 1], False)
+    assert len(report["violations"]) == 9
+    assert report["violations"][0] == {
+        "rule": "env.overbooking-bound",
+        "location": "(t=1,b=1,c=1,j=1)",
+        "message": report["violations"][0]["message"],
+    }
+    assert report["violations"][0]["message"].startswith("utilization exceeds the request: ")
+    assert text.startswith('{\n  "mode": "strict",\n') and text.endswith("}\n")
+
+    args = ["validate", "--in", str(out), "--mode", "paper", "--declared", "0,1", "--format", "json"]
+    assert _run(args) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": "paper",
+        "declared_environment": [0, 1],
+        "ok": True,
+        "violations": [],
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        _run(["validate", "--in", str(out), "--format", "xml"])
+    assert excinfo.value.code == EXIT_USAGE
+
+
 def test_classify_arrival_flag(tmp_path, capsys):
     out = tmp_path / "ex3.vmpt.jsonl"
     assert _run(["fixture", "--id", "1,0", "--out", str(out)]) == EXIT_OK
