@@ -66,10 +66,6 @@ class Capabilities:
     def any_elasticity(self) -> bool:
         return self.horizontal or self.vertical
 
-    @property
-    def any_overbooking(self) -> bool:
-        return self.server_overbooking or self.network_overbooking
-
 
 def _check_coordinate(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 3:

@@ -18,7 +18,6 @@ from decimal import Decimal
 from enum import Enum
 
 from .environments import env_from_coords
-from .errors import ValidationError
 from .model import (
     EventKind,
     ResourceSpec,
@@ -38,14 +37,6 @@ class FixtureId(Enum):
     ENV_0_2 = "0,2"
     ENV_1_0 = "1,0"
     ENV_2_0 = "2,0"
-
-    @classmethod
-    def from_cli_id(cls, text: str) -> "FixtureId":
-        for member in cls:
-            if member.value == text:
-                return member
-        known = ", ".join(member.value for member in cls)
-        raise ValidationError(f"unknown fixture id {text!r}; expected one of: {known}")
 
 
 # Per VM: (service, dc, vm), (t_init, t_end), then one series per field.

@@ -201,6 +201,11 @@ def _check_probability(name: str, value) -> None:
         raise ConfigError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
+def _check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def check_config(config: GeneratorConfig) -> None:
     """Raise ConfigError if the configuration is malformed or, with
     guarantee_dynamics set, cannot possibly exhibit an enabled capability."""
@@ -214,7 +219,10 @@ def check_config(config: GeneratorConfig) -> None:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed!r}")
 
     arrival = config.arrival
-    if config.arrival.burst:
+    # burst picks the rate's rule, so the flags come first
+    _check_flag("arrival.force_first", arrival.force_first)
+    _check_flag("arrival.burst", arrival.burst)
+    if arrival.burst:
         if not isinstance(arrival.rate, (int, float)) or isinstance(arrival.rate, bool) or not 0 <= arrival.rate < math.inf:
             raise ConfigError(f"arrival.rate must be a finite number >= 0, got {arrival.rate!r}")
     else:
@@ -242,6 +250,7 @@ def check_config(config: GeneratorConfig) -> None:
         raise ConfigError(f"vertical_policy.magnitude must be a pair 0 <= lo <= hi, got {mag!r}")
     if mag[1] == math.inf:
         raise ConfigError(f"vertical_policy.magnitude upper bound must be finite, got {mag!r}")
+    _check_flag("vertical_policy.vary_net", vertical.vary_net)
     if not isinstance(vertical.precision, int) or isinstance(vertical.precision, bool) or vertical.precision < 0:
         raise ConfigError(f"vertical_policy.precision must be an integer >= 0, got {vertical.precision!r}")
 
@@ -251,17 +260,15 @@ def check_config(config: GeneratorConfig) -> None:
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
             raise ConfigError(f"horizontal_policy.{bound_name} must be an integer >= 1, got {bound!r}")
     if horizontal.min_vms > horizontal.max_vms:
-        raise ConfigError(
-            f"horizontal_policy.min_vms {horizontal.min_vms} exceeds max_vms {horizontal.max_vms}"
-        )
+        raise ConfigError(f"horizontal_policy.min_vms {horizontal.min_vms} exceeds max_vms {horizontal.max_vms}")
 
     util = config.utilization_policy
     _check_quantity_range("utilization_policy.cpu_step", util.cpu_step)
     _check_quantity_range("utilization_policy.ram_step", util.ram_step)
     _check_quantity_range("utilization_policy.net_step", util.net_step)
+    _check_flag("utilization_policy.allow_exceed_request", util.allow_exceed_request)
 
-    if not isinstance(config.guarantee_dynamics, bool):
-        raise ConfigError(f"guarantee_dynamics must be true or false, got {config.guarantee_dynamics!r}")
+    _check_flag("guarantee_dynamics", config.guarantee_dynamics)
     if config.guarantee_dynamics:
         caps = capabilities(config.environment)
         if caps.any_elasticity and config.horizon < 2:
@@ -275,13 +282,9 @@ def check_config(config: GeneratorConfig) -> None:
                 f"both are {horizontal.min_vms}"
             )
         if caps.server_overbooking and sizing.vcpu[1] == 0 and sizing.vram[1] == 0:
-            raise ConfigError(
-                "guarantee_dynamics with server overbooking needs a positive vcpu or vram range"
-            )
+            raise ConfigError("guarantee_dynamics with server overbooking needs a positive vcpu or vram range")
         if caps.network_overbooking and sizing.vnet[1] == 0:
-            raise ConfigError(
-                "guarantee_dynamics with network overbooking needs a positive vnet range"
-            )
+            raise ConfigError("guarantee_dynamics with network overbooking needs a positive vnet range")
 
 
 def evolve_vertical(rng: SplitMix64, spec: ResourceSpec, policy: VerticalPolicy) -> ResourceSpec:
@@ -408,11 +411,30 @@ class ServiceTemplate:
     spec_streams: dict[tuple[int, int, int], SplitMix64] = field(compare=False, repr=False)
 
 
-def _vm_constants(
-    config: GeneratorConfig, service_id: int, dc_id: int, vm_index: int
-) -> tuple[SplitMix64, ResourceSpec, Decimal, int]:
-    """Draw a VM's constants from its own stream; the returned stream is
-    positioned just past them, ready to drive the vertical step draws."""
+@dataclass(slots=True)
+class _VmRecord:
+    """A VM being generated: its descriptor (ending at its scale-in tick once
+    scaled in), its spec stream positioned past the constants (until the
+    series is filled), its initial spec, and, once filled, one sample per
+    alive tick in tick order. Slotted, as ``sample_service`` and
+    ``generate`` each make one per VM."""
+
+    descriptor: VmDescriptor
+    spec_stream: SplitMix64 | None
+    spec: ResourceSpec
+    samples: list[VmSample] = field(default_factory=list)
+
+
+def _vm_birth(
+    config: GeneratorConfig, service_id: int, dc_id: int, next_vm_index: dict[int, int], t_init: int, t_end: int
+) -> _VmRecord:
+    """A VM born on its service's arrival or by a scale-out. It takes the
+    datacenter's next index, advancing ``next_vm_index``, and draws its
+    constants from its own stream, which the record keeps positioned just
+    past them to drive the vertical steps. The descriptor is built checked:
+    ``sample_service`` may get a config ``check_config`` never saw."""
+    vm_index = next_vm_index.setdefault(dc_id, 1)
+    next_vm_index[dc_id] = vm_index + 1
     stream = derive_stream(config.seed, STREAM_VM_SPEC, service_id, dc_id, vm_index)
     sizing = config.sizing
     spec = _new_spec(
@@ -422,7 +444,10 @@ def _vm_constants(
     )
     revenue = as_quantity(stream.randint(sizing.revenue[0], sizing.revenue[1]))
     sla = stream.randint(sizing.sla[0], sizing.sla[1])
-    return stream, spec, revenue, sla
+    descriptor = VmDescriptor(
+        service_id=service_id, dc_id=dc_id, vm_index=vm_index, revenue=revenue, sla=sla, t_init=t_init, t_end=t_end
+    )
+    return _VmRecord(descriptor, stream, spec)
 
 
 def sample_service(
@@ -450,58 +475,20 @@ def sample_service(
     lifetime = max(rng.randint(config.service_shape.lifetime[0], config.service_shape.lifetime[1]), min_lifetime)
     t_end = min(t + lifetime, config.horizon)
     horizontal = capabilities(config.environment).horizontal
-    descriptors: list[VmDescriptor] = []
-    initial_specs: dict[tuple[int, int, int], ResourceSpec] = {}
-    spec_streams: dict[tuple[int, int, int], SplitMix64] = {}
+    records: list[_VmRecord] = []
     for dc_id in range(1, config.num_datacenters + 1):
         count = rng.randint(config.service_shape.vms_per_dc[0], config.service_shape.vms_per_dc[1])
         if horizontal:
             count = min(max(count, config.horizontal_policy.min_vms), config.horizontal_policy.max_vms)
-        for _ in range(count):
-            vm_index = next_vm_index.setdefault(dc_id, 1)
-            next_vm_index[dc_id] = vm_index + 1
-            stream, spec, revenue, sla = _vm_constants(config, service_id, dc_id, vm_index)
-            descriptors.append(
-                VmDescriptor(
-                    service_id=service_id,
-                    dc_id=dc_id,
-                    vm_index=vm_index,
-                    revenue=revenue,
-                    sla=sla,
-                    t_init=t,
-                    t_end=t_end,
-                )
-            )
-            initial_specs[(service_id, dc_id, vm_index)] = spec
-            spec_streams[(service_id, dc_id, vm_index)] = stream
+        records.extend(_vm_birth(config, service_id, dc_id, next_vm_index, t, t_end) for _ in range(count))
     return ServiceTemplate(
         service_id=service_id,
         t_init=t,
         t_end=t_end,
-        descriptors=tuple(descriptors),
-        initial_specs=initial_specs,
-        spec_streams=spec_streams,
+        descriptors=tuple(record.descriptor for record in records),
+        initial_specs={record.descriptor.key: record.spec for record in records},
+        spec_streams={record.descriptor.key: record.spec_stream for record in records},
     )
-
-
-@dataclass
-class _VmRecord:
-    """A VM being generated: its descriptor, its spec stream positioned past
-    the constants (until the series is filled), its initial spec, and, once
-    filled, one sample per alive tick in tick order."""
-
-    descriptor: VmDescriptor
-    spec_stream: SplitMix64 | None
-    spec: ResourceSpec
-    samples: list[VmSample] = field(default_factory=list)
-
-
-@dataclass
-class _ServiceState:
-    service_id: int
-    t_init: int
-    t_end: int
-    members: list[VmDescriptor]
 
 
 def generate(config: GeneratorConfig) -> Trace:
@@ -523,11 +510,10 @@ def generate(config: GeneratorConfig) -> Trace:
     horizon = config.horizon
     num_dcs = config.num_datacenters
 
-    # membership: arrivals
+    # membership: arrivals, one tick per service in service id order
     arrival_stream = derive_stream(config.seed, STREAM_ARRIVALS)
     force_first = config.arrival.force_first or config.guarantee_dynamics
-    arrivals: list[tuple[int, int]] = []
-    next_service_id = 1
+    arrivals: list[int] = []
     for t in range(horizon):
         if config.arrival.burst:
             count = arrival_stream.poisson(config.arrival.rate)
@@ -535,16 +521,16 @@ def generate(config: GeneratorConfig) -> Trace:
             count = 1 if arrival_stream.chance(config.arrival.rate) else 0
         if t == 0 and force_first and count == 0:
             count = 1
-        for _ in range(count):
-            arrivals.append((next_service_id, t))
-            next_service_id += 1
+        arrivals.extend([t] * count)
 
-    # membership: service shapes
+    # membership: service shapes; each service keeps its alive VMs per datacenter
     next_vm_index = {dc: 1 for dc in range(1, num_dcs + 1)}
-    services: list[_ServiceState] = []
+    # (service_id, t_init, t_end, alive VMs per datacenter); the template
+    # itself is dropped, so no spec stream outlives its series fill
+    services: list[tuple[int, int, int, dict[int, list[_VmRecord]]]] = []
     records: dict[tuple[int, int, int], _VmRecord] = {}
     events: list[TraceEvent] = []
-    for service_id, t0 in arrivals:
+    for service_id, t0 in enumerate(arrivals, start=1):
         # the injection pass needs a VM alive for two consecutive ticks; pin
         # the first service's lifetime when elasticity must be demonstrated
         min_lifetime = 2 if (config.guarantee_dynamics and caps.any_elasticity and service_id == 1) else 1
@@ -557,47 +543,58 @@ def generate(config: GeneratorConfig) -> Trace:
             next_vm_index=next_vm_index,
             min_lifetime=min_lifetime,
         )
-        services.append(
-            _ServiceState(service_id, template.t_init, template.t_end, list(template.descriptors))
-        )
+        alive: dict[int, list[_VmRecord]] = {dc: [] for dc in range(1, num_dcs + 1)}
         for desc in template.descriptors:
-            records[desc.key] = _VmRecord(desc, template.spec_streams[desc.key], template.initial_specs[desc.key])
+            record = _VmRecord(desc, template.spec_streams[desc.key], template.initial_specs[desc.key])
+            records[desc.key] = record
+            alive[desc.dc_id].append(record)
+        services.append((service_id, t0, template.t_end, alive))
         events.append(TraceEvent(t=t0, kind=EventKind.SERVICE_ARRIVAL, service_id=service_id))
         events.append(TraceEvent(t=template.t_end, kind=EventKind.SERVICE_DEPARTURE, service_id=service_id))
 
     # membership: scale schedule
     if caps.horizontal:
-        for svc in services:
-            scale_stream = derive_stream(config.seed, STREAM_SCALING, svc.service_id)
-            active: dict[int, list[VmDescriptor]] = {dc: [] for dc in range(1, num_dcs + 1)}
-            for desc in svc.members:
-                active[desc.dc_id].append(desc)
-            for t in range(svc.t_init + 1, svc.t_end):
-                counts = {dc: len(members) for dc, members in active.items()}
-                for direction, dc_id in evolve_horizontal(scale_stream, counts, config.horizontal_policy):
-                    if direction == "out":
-                        _scale_out(config, svc, dc_id, t, next_vm_index, active, records, events)
-                    else:
-                        _scale_in(svc, dc_id, t, active, records, events)
+        policy = config.horizontal_policy
+
+        def scale(
+            service_id: int, t_end: int, alive: dict[int, list[_VmRecord]], direction: str, dc_id: int, t: int
+        ) -> None:
+            if direction == "out":
+                record = _vm_birth(config, service_id, dc_id, next_vm_index, t, t_end)
+                records[record.descriptor.key] = record
+                alive[dc_id].append(record)
+                kind = EventKind.VM_SCALE_OUT
+            else:
+                # indices only grow, so the last alive VM has the highest; a
+                # scale action fires at most once per tick, so it was born before t
+                record = alive[dc_id].pop()
+                record.descriptor = replace(record.descriptor, t_end=t)
+                kind = EventKind.VM_SCALE_IN
+            events.append(
+                TraceEvent(t=t, kind=kind, service_id=service_id, dc_id=dc_id, vm_index=record.descriptor.vm_index)
+            )
+
+        for service_id, t_init, t_end, alive in services:
+            scale_stream = derive_stream(config.seed, STREAM_SCALING, service_id)
+            for t in range(t_init + 1, t_end):
+                counts = {dc: len(vms) for dc, vms in alive.items()}
+                for direction, dc_id in evolve_horizontal(scale_stream, counts, policy):
+                    scale(service_id, t_end, alive, direction, dc_id, t)
         if config.guarantee_dynamics and not any(e.kind.is_scale for e in events):
             # no scale action was drawn: scale the first service once in
             # datacenter 1 at its second tick
-            svc = services[0]
-            active = {1: [d for d in svc.members if d.dc_id == 1 and d.t_end == svc.t_end]}
-            if len(active[1]) < config.horizontal_policy.max_vms:
-                _scale_out(config, svc, 1, svc.t_init + 1, next_vm_index, active, records, events)
-            else:
-                _scale_in(svc, 1, svc.t_init + 1, active, records, events)
+            service_id, t_init, t_end, alive = services[0]
+            scale(service_id, t_end, alive, "out" if len(alive[1]) < policy.max_vms else "in", 1, t_init + 1)
 
     # per-VM series
     for record in records.values():
         _fill_series(config, caps, record)
 
+    ordered = [records[key] for key in sorted(records)]
     if config.guarantee_dynamics:
-        _inject_missing_dynamics(caps, records)
+        _inject_missing_dynamics(caps, ordered)
 
     # canonical sample order is (t, VM key): bucket by tick, VMs in key order
-    ordered = [records[key] for key in sorted(records)]
     by_tick: list[list[VmSample]] = [[] for _ in range(horizon)]
     for record in ordered:
         for sample in record.samples:
@@ -614,56 +611,6 @@ def generate(config: GeneratorConfig) -> Trace:
         config_digest=config_digest(config),
     )
     return Trace(header=header, descriptors=descriptors, events=tuple(events), samples=samples)
-
-
-def _scale_out(
-    config: GeneratorConfig,
-    svc: _ServiceState,
-    dc_id: int,
-    t: int,
-    next_vm_index: dict[int, int],
-    active: dict[int, list[VmDescriptor]],
-    records: dict[tuple[int, int, int], _VmRecord],
-    events: list[TraceEvent],
-) -> None:
-    vm_index = next_vm_index[dc_id]
-    next_vm_index[dc_id] = vm_index + 1
-    stream, spec, revenue, sla = _vm_constants(config, svc.service_id, dc_id, vm_index)
-    desc = VmDescriptor(
-        service_id=svc.service_id,
-        dc_id=dc_id,
-        vm_index=vm_index,
-        revenue=revenue,
-        sla=sla,
-        t_init=t,
-        t_end=svc.t_end,
-    )
-    active[dc_id].append(desc)
-    svc.members.append(desc)
-    records[desc.key] = _VmRecord(desc, stream, spec)
-    events.append(
-        TraceEvent(t=t, kind=EventKind.VM_SCALE_OUT, service_id=svc.service_id, dc_id=dc_id, vm_index=vm_index)
-    )
-
-
-def _scale_in(
-    svc: _ServiceState,
-    dc_id: int,
-    t: int,
-    active: dict[int, list[VmDescriptor]],
-    records: dict[tuple[int, int, int], _VmRecord],
-    events: list[TraceEvent],
-) -> None:
-    # highest alive index in the chosen datacenter; scale actions fire at
-    # most once per tick, so every candidate was born before t
-    victim = max(active[dc_id], key=lambda d: d.vm_index)
-    active[dc_id].remove(victim)
-    truncated = replace(victim, t_end=t)
-    svc.members[svc.members.index(victim)] = truncated
-    records[victim.key].descriptor = truncated
-    events.append(
-        TraceEvent(t=t, kind=EventKind.VM_SCALE_IN, service_id=svc.service_id, dc_id=dc_id, vm_index=victim.vm_index)
-    )
 
 
 def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:
@@ -708,18 +655,17 @@ def _domain_error(key: tuple[int, int, int], t: int) -> ConfigError:
     )
 
 
-def _inject_missing_dynamics(caps, records: dict[tuple[int, int, int], _VmRecord]) -> None:
+def _inject_missing_dynamics(caps, records: list[_VmRecord]) -> None:
     """Make every enabled capability observable in the filled series, adding
-    one deterministic instance per capability whose draws produced none.
-    The checks run in turn: a vertical bump can itself open a server gap."""
+    one deterministic instance per capability whose draws produced none to
+    the first fitting record in ``records``, which are in key order. The
+    checks run in turn: a vertical bump can itself open a server gap."""
     if caps.vertical and not any(
-        spec_changed(prev, cur) for record in records.values() for prev, cur in pairwise(record.samples)
+        spec_changed(prev, cur) for record in records for prev, cur in pairwise(record.samples)
     ):
-        host = next((records[key] for key in sorted(records) if len(records[key].samples) >= 2), None)
+        host = next((record for record in records if len(record.samples) >= 2), None)
         if host is None:
-            raise ConfigError(
-                "guarantee_dynamics: no VM lives two consecutive ticks to host a resize"
-            )
+            raise ConfigError("guarantee_dynamics: no VM lives two consecutive ticks to host a resize")
         for i, sample in enumerate(host.samples[1:], start=1):
             spec, util = sample.spec, sample.util
             try:
@@ -736,15 +682,14 @@ def _inject_missing_dynamics(caps, records: dict[tuple[int, int, int], _VmRecord
                 ),
             )
 
-    if caps.server_overbooking and not any(server_gap(s) for r in records.values() for s in r.samples):
+    if caps.server_overbooking and not any(server_gap(s) for r in records for s in r.samples):
         _inject_usage_gap(records, "server")
-    if caps.network_overbooking and not any(network_gap(s) for r in records.values() for s in r.samples):
+    if caps.network_overbooking and not any(network_gap(s) for r in records for s in r.samples):
         _inject_usage_gap(records, "network")
 
 
-def _inject_usage_gap(records: dict[tuple[int, int, int], _VmRecord], kind: str) -> None:
-    for key in sorted(records):
-        record = records[key]
+def _inject_usage_gap(records: list[_VmRecord], kind: str) -> None:
+    for record in records:
         last = record.samples[-1]
         spec, util = last.spec, last.util
         if kind == "server" and spec.vcpu >= 1:
@@ -757,9 +702,7 @@ def _inject_usage_gap(records: dict[tuple[int, int, int], _VmRecord], kind: str)
             continue
         record.samples[-1] = replace(last, util=gap)
         return
-    raise ConfigError(
-        f"guarantee_dynamics: no VM has a positive request to host a {kind} overbooking instance"
-    )
+    raise ConfigError(f"guarantee_dynamics: no VM has a positive request to host a {kind} overbooking instance")
 
 
 def config_to_dict(config: GeneratorConfig) -> dict:

@@ -137,13 +137,6 @@ def full_utilization(spec: ResourceSpec) -> UtilizationSample:
     return _new_util(spec.vcpu, spec.vram, spec.vnet)
 
 
-def _check_id(name: str, value: int) -> None:
-    if type(value) is int and value >= 1:
-        return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _check_tick(name: str, value: int, minimum: int = 0) -> None:
     if type(value) is int and value >= minimum:
         return
@@ -168,11 +161,11 @@ class VmDescriptor:
     t_end: int
 
     def __post_init__(self):
-        _check_id("service_id", self.service_id)
-        _check_id("dc_id", self.dc_id)
-        _check_id("vm_index", self.vm_index)
+        _check_tick("service_id", self.service_id, 1)
+        _check_tick("dc_id", self.dc_id, 1)
+        _check_tick("vm_index", self.vm_index, 1)
         object.__setattr__(self, "revenue", as_quantity(self.revenue))
-        _check_id("sla", self.sla)
+        _check_tick("sla", self.sla, 1)
         _check_tick("t_init", self.t_init)
         _check_tick("t_end", self.t_end)
         if self.t_init >= self.t_end:
@@ -201,9 +194,9 @@ class VmSample:
     util: UtilizationSample
 
     def __post_init__(self):
-        _check_id("service_id", self.service_id)
-        _check_id("dc_id", self.dc_id)
-        _check_id("vm_index", self.vm_index)
+        _check_tick("service_id", self.service_id, 1)
+        _check_tick("dc_id", self.dc_id, 1)
+        _check_tick("vm_index", self.vm_index, 1)
         _check_tick("t", self.t)
         if not isinstance(self.spec, ResourceSpec):
             raise ValidationError(f"spec must be a ResourceSpec, got {self.spec!r}")
@@ -261,12 +254,12 @@ class TraceEvent:
         _check_tick("t", self.t)
         if not isinstance(self.kind, EventKind):
             raise ValidationError(f"kind must be an EventKind, got {self.kind!r}")
-        _check_id("service_id", self.service_id)
+        _check_tick("service_id", self.service_id, 1)
         if self.kind.is_scale:
             if self.dc_id is None or self.vm_index is None:
                 raise ValidationError(f"{self.kind.value} event requires dc_id and vm_index")
-            _check_id("dc_id", self.dc_id)
-            _check_id("vm_index", self.vm_index)
+            _check_tick("dc_id", self.dc_id, 1)
+            _check_tick("vm_index", self.vm_index, 1)
         elif self.dc_id is not None or self.vm_index is not None:
             raise ValidationError(f"{self.kind.value} event must not carry dc_id or vm_index")
 
@@ -295,8 +288,8 @@ class TraceHeader:
         if not isinstance(self.environment, EnvironmentId):
             raise ValidationError(f"environment must be an EnvironmentId, got {self.environment!r}")
         _check_tick("horizon", self.horizon)
-        _check_id("num_datacenters", self.num_datacenters)
-        _check_id("sla_levels", self.sla_levels)
+        _check_tick("num_datacenters", self.num_datacenters, 1)
+        _check_tick("sla_levels", self.sla_levels, 1)
         if self.seed is not None:
             if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= MAX_SEED:
                 raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")

@@ -133,7 +133,7 @@ def test_criterion_1_fixture_fidelity():
     cells = 0
     mismatches = []
     for cli_id, expected in EXAMPLE_TABLES.items():
-        trace = fixture_trace(FixtureId.from_cli_id(cli_id))
+        trace = fixture_trace(FixtureId(cli_id))
         recorded_events = tuple((e.t, e.kind, e.service_id) for e in trace.events)
         if recorded_events != expected["events"]:
             mismatches.append(f"{cli_id}: events {recorded_events}")

@@ -11,7 +11,8 @@ import pytest
 
 from vmptrace import cli
 from vmptrace.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from vmptrace.generator import config_digest, default_config
+from vmptrace.errors import ConfigError
+from vmptrace.generator import config_digest, config_from_dict, default_config
 from vmptrace.environments import env_from_coords
 from vmptrace.traceio import read_trace_file
 
@@ -227,6 +228,28 @@ def test_trace_with_an_integer_literal_too_long_to_convert_is_an_io_error(tmp_pa
     path.write_text("\n".join(lines) + "\n")
     assert _run(["validate", "--in", str(path)]) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: line 2: integer literal too long (")
+
+
+def test_a_flag_that_is_not_true_or_false_is_a_usage_error_naming_it(tmp_path, capsys):
+    # "false" is truthy: taken as arrival.burst, it would turn burst arrivals on
+    config_path = tmp_path / "flag.json"
+    for section, key in [
+        ("arrival", "force_first"),
+        ("arrival", "burst"),
+        ("vertical_policy", "vary_net"),
+        ("utilization_policy", "allow_exceed_request"),
+        (None, "guarantee_dynamics"),
+    ]:
+        name = f"{section}.{key}" if section else key
+        for value in ("false", 0, None):
+            data = {"environment": [3, 3], **({section: {key: value}} if section else {key: value})}
+            message = f"{name} must be true or false, got {value!r}"
+            with pytest.raises(ConfigError) as caught:
+                config_from_dict(data)
+            assert str(caught.value) == message
+            config_path.write_text(json.dumps(data))
+            assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):

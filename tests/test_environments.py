@@ -73,11 +73,8 @@ def test_rendering_and_labels():
 
 def test_convenience_flags():
     assert not capabilities(env_from_coords(0, 0)).any_elasticity
-    assert not capabilities(env_from_coords(0, 0)).any_overbooking
     assert capabilities(env_from_coords(1, 0)).any_elasticity
-    assert capabilities(env_from_coords(0, 2)).any_overbooking
     assert capabilities(env_from_coords(3, 0)).any_elasticity
-    assert not capabilities(env_from_coords(3, 0)).any_overbooking
 
 
 def test_environment_ids_order_like_their_coordinates():

@@ -2,11 +2,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-import pytest
-
 from vmptrace.analysis import classify, validate
 from vmptrace.environments import env_from_coords
-from vmptrace.errors import ValidationError
 from vmptrace.fixtures import FixtureId, fixture_trace
 from vmptrace.model import EventKind
 
@@ -123,13 +120,6 @@ def test_fixture_headers_are_uniform():
         for descriptor in trace.descriptors:
             assert descriptor.revenue == Decimal(0)
             assert descriptor.sla == 1
-
-
-def test_fixture_ids_round_trip_from_cli_text():
-    for fixture in FixtureId:
-        assert FixtureId.from_cli_id(fixture.value) is fixture
-    with pytest.raises(ValidationError):
-        FixtureId.from_cli_id("9,9")
 
 
 def test_fixture_traces_are_freshly_built():

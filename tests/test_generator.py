@@ -406,6 +406,10 @@ def test_config_checks_reject_bad_fields():
         # a truthy non-bool, such as a nested list from a config file, is not a flag
         dict(guarantee_dynamics=1),
         dict(guarantee_dynamics=[[]]),
+        dict(arrival=ArrivalModel(force_first="false")),
+        dict(arrival=ArrivalModel(burst="false")),
+        dict(vertical_policy=VerticalPolicy(vary_net=0)),
+        dict(utilization_policy=UtilizationPolicy(allow_exceed_request=None)),
     ]
     for replacement in bad_cases:
         with pytest.raises(ConfigError):
@@ -596,6 +600,48 @@ def test_at_most_one_scale_action_per_service_per_tick():
     ]
     assert scale_moments, "expected scale activity at p_scale=1"
     assert len(scale_moments) == len(set(scale_moments))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        default_config(env_from_coords(1, 0), seed=1, horizon=20),
+        default_config(env_from_coords(3, 3), seed=1, horizon=20),
+        # no scale action is drawn, so the guarantee scales the first service out
+        dataclasses.replace(
+            default_config(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
+            horizontal_policy=HorizontalPolicy(p_scale=0.0),
+        ),
+        # ... or, with datacenter 1 already at max_vms, in
+        dataclasses.replace(
+            default_config(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
+            service_shape=ServiceShape(vms_per_dc=(2, 2)),
+            horizontal_policy=HorizontalPolicy(p_scale=0.0, max_vms=2),
+        ),
+    ],
+    ids=["1,0", "3,3", "guaranteed-out", "guaranteed-in"],
+)
+def test_vms_born_on_arrival_and_by_scale_out_share_the_stream_map(config):
+    trace = generate(config)
+    scaled = {EventKind.VM_SCALE_OUT: {}, EventKind.VM_SCALE_IN: {}}
+    for e in trace.events:
+        if e.kind.is_scale:
+            scaled[e.kind][(e.service_id, e.dc_id, e.vm_index)] = e.t
+    outs, ins = scaled[EventKind.VM_SCALE_OUT], scaled[EventKind.VM_SCALE_IN]
+    # the guarantee's one scale action, or drawn ones in both directions
+    assert len(outs) + len(ins) == 1 if config.guarantee_dynamics else outs and ins
+    first = {}
+    for sample in trace.samples:
+        first.setdefault(sample.vm_key, sample)
+    sizing = config.sizing
+    for desc in trace.descriptors:
+        # the first five draws of (4, b, c, j): vcpu, vram, vnet, revenue, sla
+        stream = derive_stream(config.seed, generator.STREAM_VM_SPEC, *desc.key)
+        drawn = [stream.randint(lo, hi) for lo, hi in (sizing.vcpu, sizing.vram, sizing.vnet, sizing.revenue, sizing.sla)]
+        spec = first[desc.key].spec
+        assert [spec.vcpu, spec.vram, spec.vnet, desc.revenue, desc.sla] == drawn
+        assert desc.t_init == outs.get(desc.key, desc.t_init)
+        assert desc.t_end == ins.get(desc.key, desc.t_end)
 
 
 def test_vm_indices_are_never_reused_within_a_datacenter():
