@@ -33,13 +33,13 @@ cached yet, with identical results, and either result is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from itertools import pairwise
 
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
 from .errors import IntegrityError, ValidationError
-from .model import EventKind, Trace, VmSample, dc_population, quantity_text
+from .model import EventKind, Trace, TraceEvent, VmDescriptor, VmSample, dc_population, quantity_text
 from .traceio import _Shared
 
 MODE_STRICT = "strict"
@@ -75,15 +75,8 @@ class Violation:
     def location_text(self) -> str:
         if self.event_index is not None:
             return f"event #{self.event_index}"
-        parts = []
-        if self.t is not None:
-            parts.append(f"t={self.t}")
-        if self.service_id is not None:
-            parts.append(f"b={self.service_id}")
-        if self.dc_id is not None:
-            parts.append(f"c={self.dc_id}")
-        if self.vm_index is not None:
-            parts.append(f"j={self.vm_index}")
+        coordinates = zip("tbcj", (self.t, self.service_id, self.dc_id, self.vm_index))
+        parts = [f"{name}={value}" for name, value in coordinates if value is not None]
         return "(" + ",".join(parts) + ")" if parts else "-"
 
 
@@ -123,12 +116,7 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _vm_violation(rule: str, message: str, sample_or_key, t: int | None = None) -> Violation:
-    if isinstance(sample_or_key, VmSample):
-        key = sample_or_key.vm_key
-        t = sample_or_key.t if t is None else t
-    else:
-        key = sample_or_key
+def _vm_violation(rule: str, message: str, key: tuple[int, int, int], t: int | None) -> Violation:
     return Violation(rule, message, t=t, service_id=key[0], dc_id=key[1], vm_index=key[2])
 
 
@@ -181,30 +169,14 @@ def _observe(trace: Trace) -> _Observation:
 
     for desc in trace.descriptors:
         if desc.t_end > header.horizon:
-            out.append(
-                _vm_violation(
-                    RULE_HORIZON,
-                    f"VM lifetime ends at t={desc.t_end}, past horizon {header.horizon}",
-                    desc.key,
-                    t=desc.t_end,
-                )
-            )
+            message = f"VM lifetime ends at t={desc.t_end}, past horizon {header.horizon}"
+            out.append(_vm_violation(RULE_HORIZON, message, desc.key, desc.t_end))
         if desc.dc_id > header.num_datacenters:
-            out.append(
-                _vm_violation(
-                    RULE_DC_RANGE,
-                    f"dc {desc.dc_id} exceeds num_datacenters {header.num_datacenters}",
-                    desc.key,
-                )
-            )
+            message = f"dc {desc.dc_id} exceeds num_datacenters {header.num_datacenters}"
+            out.append(_vm_violation(RULE_DC_RANGE, message, desc.key, None))
         if desc.sla > header.sla_levels:
-            out.append(
-                _vm_violation(
-                    RULE_SLA_RANGE,
-                    f"sla {desc.sla} exceeds the header's highest level {header.sla_levels}",
-                    desc.key,
-                )
-            )
+            message = f"sla {desc.sla} exceeds the header's highest level {header.sla_levels}"
+            out.append(_vm_violation(RULE_SLA_RANGE, message, desc.key, None))
 
     # dynamics are witnessed on every sample, as conformance checks every
     # sample; in tick order a known VM's sample repeats a tick exactly when
@@ -226,14 +198,14 @@ def _observe(trace: Trace) -> _Observation:
             network_excess = sample
         desc = by_key.get(key)
         if desc is None:
-            misplaced.append((index, _vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", sample)))
+            misplaced.append((index, _vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", key, sample.t)))
         elif previous is not None and previous.t == sample.t:
-            misplaced.append((index, _vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", sample)))
+            misplaced.append((index, _vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", key, sample.t)))
         elif desc.t_init <= sample.t < desc.t_end:
             covered += 1
         else:
             message = f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})"
-            misplaced.append((index, _vm_violation(RULE_LIFETIME, message, sample)))
+            misplaced.append((index, _vm_violation(RULE_LIFETIME, message, key, sample.t)))
     # reported in the trace's own sample order, however they were visited
     misplaced.sort(key=lambda item: item[0])
     out.extend(violation for _, violation in misplaced)
@@ -245,11 +217,11 @@ def _observe(trace: Trace) -> _Observation:
         for desc in trace.descriptors:
             for t in range(desc.t_init, desc.t_end):
                 if (t, desc.key) not in present:
-                    out.append(_vm_violation(RULE_DENSE_SAMPLING, "missing sample for an alive tick", desc.key, t=t))
+                    out.append(_vm_violation(RULE_DENSE_SAMPLING, "missing sample for an alive tick", desc.key, t))
 
-    spans = _service_spans(trace)
+    spans = _service_spans(trace.descriptors)
     _event_violations(trace, by_key, spans, out)
-    horizontal = min(_membership_changes(trace, spans), default=None)
+    horizontal = min(_membership_changes(trace.descriptors, spans), default=None)
     return _Observation(tuple(out), vertical, horizontal, server, network, server_excess, network_excess)
 
 
@@ -295,15 +267,15 @@ def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, in
             ticks = times.get((kind, desc.key), [])
             if mid and ticks != [t]:
                 message = f"VM {verb} mid-lifetime at t={t} but its {name} events are at {ticks}"
-                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t=t))
+                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t))
             elif not mid and ticks:
                 message = f"VM {whole} must not have {name} events, got {ticks}"
-                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t=t))
+                out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t))
 
 
-def _service_spans(trace: Trace) -> dict[int, tuple[int, int]]:
+def _service_spans(descriptors: tuple[VmDescriptor, ...]) -> dict[int, tuple[int, int]]:
     spans: dict[int, tuple[int, int]] = {}
-    for desc in trace.descriptors:
+    for desc in descriptors:
         start, end = spans.get(desc.service_id, (desc.t_init, desc.t_end))
         spans[desc.service_id] = (min(start, desc.t_init), max(end, desc.t_end))
     return spans
@@ -325,17 +297,36 @@ def network_gap(sample: VmSample) -> bool:
     return sample.util.unet != sample.spec.vnet
 
 
-def _membership_changes(trace: Trace, spans: dict[int, tuple[int, int]]):
+def _membership_changes(descriptors: tuple[VmDescriptor, ...], spans: dict[int, tuple[int, int]]):
     """``(service_id, t, leaves, vm key)`` for each per-service VM count
     change strictly inside the service's lifetime: a VM joins at ``t_init``
     after its service starts, and leaves at ``t_end`` before it ends. Sorted,
     the entries run by service and tick, joins before leaves."""
-    for desc in trace.descriptors:
+    for desc in descriptors:
         start, end = spans[desc.service_id]
         if desc.t_init > start:
             yield desc.service_id, desc.t_init, False, desc.key
         if desc.t_end < end:
             yield desc.service_id, desc.t_end, True, desc.key
+
+
+def lifecycle_events(descriptors: tuple[VmDescriptor, ...]) -> tuple[TraceEvent, ...]:
+    """The events that VM lifetimes imply, in canonical order, and the only
+    events a structurally valid trace holds: each service arrives when its
+    first VM starts and departs when its last VM ends, and a VM that joins or
+    leaves its service mid-lifetime scales out or in there."""
+    spans = _service_spans(descriptors)
+    events = [
+        TraceEvent(t=t, kind=kind, service_id=service_id)
+        for service_id, span in spans.items()
+        for kind, t in zip((EventKind.SERVICE_ARRIVAL, EventKind.SERVICE_DEPARTURE), span)
+    ]
+    events.extend(
+        TraceEvent(t=t, kind=EventKind.VM_SCALE_IN if leaves else EventKind.VM_SCALE_OUT, service_id=b, dc_id=c, vm_index=j)
+        for b, t, leaves, (_, c, j) in _membership_changes(descriptors, spans)
+    )
+    events.sort(key=lambda event: event.sort_key)
+    return tuple(events)
 
 
 def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities, mode: str) -> list[Violation]:
@@ -348,19 +339,13 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
         # a stable sort: each VM's changes stay in tick order
         for sample in sorted(changes, key=lambda sample: sample.vm_key):
             message = f"requested resources change at t={sample.t} but the environment has no vertical elasticity"
-            out.append(_vm_violation(RULE_NO_VERTICAL, message, sample))
+            out.append(_vm_violation(RULE_NO_VERTICAL, message, sample.vm_key, sample.t))
 
     if not caps.horizontal and seen.horizontal is not None:
-        for _, t, leaves, key in sorted(_membership_changes(trace, _service_spans(trace))):
-            out.append(
-                _vm_violation(
-                    RULE_NO_HORIZONTAL,
-                    f"VM {'leaves' if leaves else 'joins'} its service mid-lifetime at t={t} "
-                    "but the environment has no horizontal elasticity",
-                    key,
-                    t=t,
-                )
-            )
+        for _, t, leaves, key in sorted(_membership_changes(trace.descriptors, _service_spans(trace.descriptors))):
+            verb = "leaves" if leaves else "joins"
+            message = f"VM {verb} its service mid-lifetime at t={t} but the environment has no horizontal elasticity"
+            out.append(_vm_violation(RULE_NO_HORIZONTAL, message, key, t))
 
     # one pass over the samples; violations stay grouped by rule
     check_server_equality = (
@@ -388,7 +373,8 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
                 _vm_violation(
                     RULE_NO_SERVER_OVERBOOKING,
                     "server utilization must equal the request without server overbooking: " + ", ".join(mismatches),
-                    sample,
+                    sample.vm_key,
+                    sample.t,
                 )
             )
         if check_network_equality and network_gap(sample):
@@ -397,7 +383,8 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
                     RULE_NO_NETWORK_OVERBOOKING,
                     f"network utilization must equal the request without network overbooking: "
                     f"unet {text[util.unet]} != vnet {text[spec.vnet]}",
-                    sample,
+                    sample.vm_key,
+                    sample.t,
                 )
             )
         excesses = []
@@ -410,7 +397,7 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
             excesses.append(f"unet {text[util.unet]} > vnet {text[spec.vnet]}")
         if excesses:
             bound_out.append(
-                _vm_violation(RULE_OVERBOOKING_BOUND, "utilization exceeds the request: " + ", ".join(excesses), sample)
+                _vm_violation(RULE_OVERBOOKING_BOUND, "utilization exceeds the request: " + ", ".join(excesses), sample.vm_key, sample.t)
             )
     return out + server_out + network_out + bound_out
 
@@ -448,7 +435,7 @@ def classify(trace: Trace, *, arrival_as_horizontal: bool = False) -> Environmen
 
     horizontal = seen.horizontal is not None
     if not horizontal and arrival_as_horizontal:
-        spans = _service_spans(trace)
+        spans = _service_spans(trace.descriptors)
         for service_id, (start, _) in spans.items():
             if start > 0 and any(
                 other != service_id and other_start <= start < other_end
@@ -491,52 +478,34 @@ class StatsSeries:
     rows: tuple[StatsRow, ...]
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for row in self.rows:
-            entry: dict = {
-                "dc": row.dc_id,
-                "t": row.t,
-                "vm_count": row.vm_count,
-                "vcpu": row.vcpu,
-                "vram": row.vram,
-                "vnet": row.vnet,
-                "ucpu": row.ucpu,
-                "uram": row.uram,
-                "unet": row.unet,
-            }
-            for name, ratio in (
-                ("cpu_ratio", row.cpu_ratio),
-                ("ram_ratio", row.ram_ratio),
-                ("net_ratio", row.net_ratio),
-            ):
-                if ratio is not None:
-                    entry[name] = ratio
-            rows.append(entry)
+        # a ratio is absent where it is None; every other value is a Decimal
+        # or an int, passed as is so a Decimal keeps its stored exponent
+        rows = [{key: value for key, value in _row_items(row) if value is not None} for row in self.rows]
         return {"horizon": self.horizon, "num_datacenters": self.num_datacenters, "rows": rows}
 
     def render_table(self) -> str:
-        headers = ("dc", "t", "vms", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "cpu", "ram", "net")
-        body = [
-            (
-                str(row.dc_id),
-                str(row.t),
-                str(row.vm_count),
-                quantity_text(row.vcpu),
-                quantity_text(row.vram),
-                quantity_text(row.vnet),
-                quantity_text(row.ucpu),
-                quantity_text(row.uram),
-                quantity_text(row.unet),
-                "-" if row.cpu_ratio is None else format(row.cpu_ratio, "f"),
-                "-" if row.ram_ratio is None else format(row.ram_ratio, "f"),
-                "-" if row.net_ratio is None else format(row.net_ratio, "f"),
-            )
-            for row in self.rows
-        ]
-        widths = [max(len(headers[i]), *(len(line[i]) for line in body)) if body else len(headers[i]) for i in range(len(headers))]
-        lines = ["  ".join(h.rjust(widths[i]) for i, h in enumerate(headers))]
+        body = [tuple(_cell_text(key, value) for key, value in _row_items(row)) for row in self.rows]
+        widths = [max([len(header), *(len(line[i]) for line in body)]) for i, header in enumerate(_STATS_HEADERS)]
+        lines = ["  ".join(h.rjust(widths[i]) for i, h in enumerate(_STATS_HEADERS))]
         lines.extend("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)) for line in body)
         return "\n".join(lines) + "\n"
+
+
+# each StatsRow field's stats JSON key and table header, in field order
+_STATS_KEYS = ("dc", "t", "vm_count", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "cpu_ratio", "ram_ratio", "net_ratio")
+_STATS_HEADERS = ("dc", "t", "vms", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "cpu", "ram", "net")
+
+
+def _row_items(row: StatsRow):
+    return zip(_STATS_KEYS, (getattr(row, field.name) for field in fields(row)))
+
+
+def _cell_text(key: str, value) -> str:
+    """A table cell: a ratio with its quantized places, or ``-`` where absent;
+    a total as the writer renders quantities; a count or coordinate as is."""
+    if key.endswith("_ratio"):
+        return "-" if value is None else format(value, "f")
+    return quantity_text(value) if isinstance(value, Decimal) else str(value)
 
 
 # the default context (28 digits), with a rounded sum an error instead of silent

@@ -9,7 +9,9 @@ stored verbatim as published; two of them deliberately exercise the relaxed
 
 All four share the same frame: horizon 6, two datacenters, a single SLA
 level, revenue 0, and service 1 alive over ticks [0, 4). Network bandwidth
-requests equal each VM's first utilization value.
+requests equal each VM's first utilization value. The tables hold only VM
+lifetimes and series; each trace's lifecycle events are derived from the
+lifetimes by :func:`analysis.lifecycle_events`.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from __future__ import annotations
 from decimal import Decimal
 from enum import Enum
 
+from .analysis import lifecycle_events
 from .environments import env_from_coords
 from .model import (
-    EventKind,
     ResourceSpec,
     Trace,
-    TraceEvent,
     TraceHeader,
     UtilizationSample,
     VmDescriptor,
@@ -44,7 +45,6 @@ class FixtureId(Enum):
 _TABLES = {
     FixtureId.ENV_0_1: {
         "environment": (0, 1),
-        "events": [(0, EventKind.SERVICE_ARRIVAL, 1), (4, EventKind.SERVICE_DEPARTURE, 1)],
         "vms": [
             ((1, 1, 1), (0, 4), {"vcpu": 8, "vram": 16, "vnet": 150,
                                  "ucpu": [8, 9, 10, 12], "uram": [16, 18, 22, 26], "unet": 150}),
@@ -58,7 +58,6 @@ _TABLES = {
     },
     FixtureId.ENV_0_2: {
         "environment": (0, 2),
-        "events": [(0, EventKind.SERVICE_ARRIVAL, 1), (4, EventKind.SERVICE_DEPARTURE, 1)],
         "vms": [
             ((1, 1, 1), (0, 4), {"vcpu": 8, "vram": 16, "vnet": 150,
                                  "ucpu": 8, "uram": 16, "unet": [150, 170, 180, 200]}),
@@ -72,12 +71,6 @@ _TABLES = {
     },
     FixtureId.ENV_1_0: {
         "environment": (1, 0),
-        "events": [
-            (0, EventKind.SERVICE_ARRIVAL, 1),
-            (2, EventKind.SERVICE_ARRIVAL, 2),
-            (4, EventKind.SERVICE_DEPARTURE, 1),
-            (5, EventKind.SERVICE_DEPARTURE, 2),
-        ],
         "vms": [
             ((1, 1, 1), (0, 4), {"vcpu": 8, "vram": 16, "vnet": 150, "ucpu": 8, "uram": 16, "unet": 150}),
             ((1, 1, 2), (0, 4), {"vcpu": 5, "vram": 12, "vnet": 50, "ucpu": 5, "uram": 12, "unet": 50}),
@@ -89,7 +82,6 @@ _TABLES = {
     },
     FixtureId.ENV_2_0: {
         "environment": (2, 0),
-        "events": [(0, EventKind.SERVICE_ARRIVAL, 1), (4, EventKind.SERVICE_DEPARTURE, 1)],
         "vms": [
             ((1, 1, 1), (0, 4), {"vcpu": [8, 9, 9, 11], "vram": [16, 22, 23, 25], "vnet": 150,
                                  "ucpu": 8, "uram": 16, "unet": 150}),
@@ -156,16 +148,12 @@ def fixture_trace(fixture: FixtureId) -> Trace:
                     ),
                 )
             )
-    events = [
-        TraceEvent(t=t, kind=kind, service_id=service_id)
-        for t, kind, service_id in table["events"]
-    ]
     samples.sort(key=lambda s: s.sort_key)
-    events.sort(key=lambda e: e.sort_key)
     header = TraceHeader(
         environment=env,
         horizon=_HORIZON,
         num_datacenters=_NUM_DATACENTERS,
         sla_levels=_SLA_LEVELS,
     )
-    return Trace(header=header, descriptors=tuple(descriptors), events=tuple(events), samples=tuple(samples))
+    descriptors = tuple(descriptors)
+    return Trace(header=header, descriptors=descriptors, events=lifecycle_events(descriptors), samples=tuple(samples))

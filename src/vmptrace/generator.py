@@ -7,7 +7,8 @@ per-datacenter VM counts, and, when horizontal elasticity is enabled, a
 schedule of scale-out/scale-in actions. Then it fills in per-VM time series:
 requested resources (constant, or stepped by the vertical policy) and used
 resources (equal to the request, or a bounded random walk for overbooked
-classes).
+classes). Membership only sets VM lifetimes; the lifecycle events are derived
+from the final lifetimes by :func:`analysis.lifecycle_events`.
 
 Reproducibility rests on a fixed stream map. Every draw comes from a
 splitmix64 stream derived from the master seed and an integer path:
@@ -37,16 +38,14 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from functools import cached_property
 from itertools import chain, pairwise
 
-from .analysis import network_gap, server_gap, spec_changed
+from .analysis import lifecycle_events, network_gap, server_gap, spec_changed
 from .environments import EnvironmentId, capabilities, env_from_coords
 from .errors import ConfigError, ValidationError
 from .model import (
     MAX_SEED,
     QUANTITY_LIMIT,
-    EventKind,
     ResourceSpec,
     Trace,
-    TraceEvent,
     TraceHeader,
     UtilizationSample,
     VmDescriptor,
@@ -529,7 +528,6 @@ def generate(config: GeneratorConfig) -> Trace:
     # itself is dropped, so no spec stream outlives its series fill
     services: list[tuple[int, int, int, dict[int, list[_VmRecord]]]] = []
     records: dict[tuple[int, int, int], _VmRecord] = {}
-    events: list[TraceEvent] = []
     for service_id, t0 in enumerate(arrivals, start=1):
         # the injection pass needs a VM alive for two consecutive ticks; pin
         # the first service's lifetime when elasticity must be demonstrated
@@ -549,8 +547,6 @@ def generate(config: GeneratorConfig) -> Trace:
             records[desc.key] = record
             alive[desc.dc_id].append(record)
         services.append((service_id, t0, template.t_end, alive))
-        events.append(TraceEvent(t=t0, kind=EventKind.SERVICE_ARRIVAL, service_id=service_id))
-        events.append(TraceEvent(t=template.t_end, kind=EventKind.SERVICE_DEPARTURE, service_id=service_id))
 
     # membership: scale schedule
     if caps.horizontal:
@@ -563,24 +559,21 @@ def generate(config: GeneratorConfig) -> Trace:
                 record = _vm_birth(config, service_id, dc_id, next_vm_index, t, t_end)
                 records[record.descriptor.key] = record
                 alive[dc_id].append(record)
-                kind = EventKind.VM_SCALE_OUT
             else:
                 # indices only grow, so the last alive VM has the highest; a
                 # scale action fires at most once per tick, so it was born before t
                 record = alive[dc_id].pop()
                 record.descriptor = replace(record.descriptor, t_end=t)
-                kind = EventKind.VM_SCALE_IN
-            events.append(
-                TraceEvent(t=t, kind=kind, service_id=service_id, dc_id=dc_id, vm_index=record.descriptor.vm_index)
-            )
 
+        scaled = False
         for service_id, t_init, t_end, alive in services:
             scale_stream = derive_stream(config.seed, STREAM_SCALING, service_id)
             for t in range(t_init + 1, t_end):
                 counts = {dc: len(vms) for dc, vms in alive.items()}
                 for direction, dc_id in evolve_horizontal(scale_stream, counts, policy):
                     scale(service_id, t_end, alive, direction, dc_id, t)
-        if config.guarantee_dynamics and not any(e.kind.is_scale for e in events):
+                    scaled = True
+        if config.guarantee_dynamics and not scaled:
             # no scale action was drawn: scale the first service once in
             # datacenter 1 at its second tick
             service_id, t_init, t_end, alive = services[0]
@@ -600,7 +593,6 @@ def generate(config: GeneratorConfig) -> Trace:
         for sample in record.samples:
             by_tick[sample.t].append(sample)
     samples = tuple(chain.from_iterable(by_tick))
-    events.sort(key=lambda e: e.sort_key)
     descriptors = tuple(record.descriptor for record in ordered)
     header = TraceHeader(
         environment=config.environment,
@@ -610,7 +602,7 @@ def generate(config: GeneratorConfig) -> Trace:
         seed=config.seed,
         config_digest=config_digest(config),
     )
-    return Trace(header=header, descriptors=descriptors, events=tuple(events), samples=samples)
+    return Trace(header=header, descriptors=descriptors, events=lifecycle_events(descriptors), samples=samples)
 
 
 def _fill_series(config: GeneratorConfig, caps, record: _VmRecord) -> None:

@@ -175,3 +175,76 @@ def test_reports_are_byte_identical(name):
         "csv": _sha(trace_to_csv_text(trace)),
     }
     assert got == REPORT_PINS[name]
+
+
+# The stats table at the default and at zero ratio places, and the indented
+# stats and (0,0) report documents, pinned before their renderers were
+# written from one field table each.
+RENDER_PINS = {
+    "10-burst": {
+        "table": "746435f638684bca60ecd2bd53e854cff2f270d8b71b18e8657e9d7b3e96d729",
+        "table-0": "d064f453c0de0710a878f4ac7a70b7539143878ae504efde53d919bafe6f610d",
+        "stats-indent": "62e86450aad7508fc3d1a89bdc97e41373542c49a734d7d188e813f64040379c",
+        "report-indent": "149122a00426a5a4fe608067d38d8badae0ccae271f6233190582eeef7e64aa9",
+    },
+    "33-default": {
+        "table": "614d84c525f73d2551ba6b8ea7ce9277e461ddbdb16e4fc9bdb7c4934dddb7ca",
+        "table-0": "b58bd57a5182e79c6497f3da9b0942e285fa4ee7b4b571771728c69d41bd549e",
+        "stats-indent": "d28c1a8a93b72c51669f5b8072d946f4e130f1a1f05e765c48b3f3ab7f1f89ac",
+        "report-indent": "86067ba20842d5f18d417a1428b6bcf4a9582ea9b28708cd955e671c4d23870c",
+    },
+    "33-exceed": {
+        "table": "79e9397ad5a03d6664c07ba2b2a38fc09bf0bd99e3e20df19f448142701ade1e",
+        "table-0": "353be879d9c99da79a691b23297980ed1afd5991e5a9adca21ec9536ed995d2a",
+        "stats-indent": "563f7d5b7a88586513ee34811cfd64220e743c154f9cf5fdea4ba0f9d6890225",
+        "report-indent": "33b01c16a6cd474ded3b6a4b65bc6376c9f19ab480392543e85934163d2eb902",
+    },
+    "33-inert": {
+        "table": "0ae350c0cec923037360d18bac8c209c6de5ec58d4e0575a4efbc5d8691072c7",
+        "table-0": "f135b02655de32f07dbeeb1f6da354a1fbd0da57819402f842f3dd377ce416fd",
+        "stats-indent": "db2f56dace05197d15045c4dee1c226f30f52f034c99ea4caa99765ca982148f",
+        "report-indent": "29f3a8b1e80a5138be4061c99ca5c8a83dbad791b43f27c218e2508530f1b2e1",
+    },
+    "33-scale-in": {
+        "table": "fcdd7bb3c5cdebb7d5f6da4d5b8c0ce7c05299858c162ff72bf250619bbc49fb",
+        "table-0": "a6fee927b16690a524eec28adf0885728d782242a892f31c40ecbb165856851d",
+        "stats-indent": "a5d233d07aed85557922ccf4d80931b7139713e8906374b2730bbe0ff82a31c9",
+        "report-indent": "9c4225a587a009f5e9c5e2d2c42e2530133bc306efa4b1709ebccf861dbf5393",
+    },
+    "fixture-0,1": {
+        "table": "e64a75cb99c74e4ceacf4c19f61950281411f9d547d5a7c753a9ea0812ebe010",
+        "table-0": "7e20e368f3413f665ad6b19d06f787d04510cf23521f3ef59b074ea15ac78b4c",
+        "stats-indent": "12637e81e0f5322a32cbb7abb958da4ccc2cdfae2969066154276e667ae48117",
+        "report-indent": "157dfe145e42ba29ecf377080879ac6de1741ead2a94c2e7fa513099e30caa24",
+    },
+    "fixture-0,2": {
+        "table": "ca27aff3cca15f83ff047cfadb3bfc1f82ca06b32a4919ee8e3b49313c4266ee",
+        "table-0": "aa5e17442e210a0463618c1979fed3027958e315d0603104383bc94c31ae7f43",
+        "stats-indent": "01604900746b7d5c54e6077d75cd8c5be8d77930e7434ddff5ba45243614bad5",
+        "report-indent": "7673be44404566a34d41a5c4c41462a6ac55052a84364a3e14bcfefaee4077a6",
+    },
+    "fixture-1,0": {
+        "table": "559696099d0d9a0cf939353c4018c000eb067fab9f840aaf01b35aa395d1326d",
+        "table-0": "d3160772fba4636f2fefb8d8e4424b3db69b93f7c787370fe86bdbf1e41b5a0b",
+        "stats-indent": "a1beaa12bf2d42479cfc89b5cf63d954a98d7e8298d904ef9ea2556c30c261a7",
+        "report-indent": "6352f11fd982a7227399242935406bba0895565c7114820c3ca7e15a6d490842",
+    },
+    "fixture-2,0": {
+        "table": "c4d8249da397c4b1142a94b5c14f8108b06b4e8e8aaddb8b07784141745d4c2b",
+        "table-0": "956a0da1e70ab92f23331e8d8a12b788bf7870b2d05a82297cb23ec6786d29fb",
+        "stats-indent": "164d141eb08b1d1c0ce5df0d3d31d5242453be6595370f2ae8e663571981cd30",
+        "report-indent": "d237d4ff4b6d7a023f288db52a61f243b46a2d654153fef39b281506c9883009",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DOCUMENTS))
+def test_renderings_are_byte_identical(name):
+    trace = REPORT_DOCUMENTS[name]()
+    got = {
+        "table": _sha(stats(trace).render_table()),
+        "table-0": _sha(stats(trace, ratio_places=0).render_table()),
+        "stats-indent": _sha(dump_json(stats(trace).to_json_dict(), indent=2)),
+        "report-indent": _sha(dump_json(validate(trace, declared=env_from_coords(0, 0)).to_json_dict(), indent=2)),
+    }
+    assert got == RENDER_PINS[name]
