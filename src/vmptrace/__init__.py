@@ -55,7 +55,6 @@ from .generator import (
     evolve_utilization,
     evolve_vertical,
     generate,
-    sample_service,
 )
 from .model import (
     EventKind,
@@ -139,7 +138,6 @@ __all__ = [
     "quantity_text",
     "read_trace",
     "read_trace_file",
-    "sample_service",
     "service_vm_count",
     "stats",
     "trace_to_bytes",

@@ -25,7 +25,8 @@ Per-VM streams keep a VM's numbers stable when unrelated knobs change: e.g.
 toggling the utilization policy never alters any requested-resource series.
 
 Each quantity is checked once, by ``as_quantity`` where a draw or step makes
-it; specs, utilizations and samples are then built without checking again.
+it; specs, utilizations, samples and born VMs' descriptors are then built
+without checking again.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .model import (
     UtilizationSample,
     VmDescriptor,
     VmSample,
+    _new_descriptor,
     _new_sample,
     _new_spec,
     _new_util,
@@ -396,27 +398,12 @@ def _walk(
     return as_quantity(cap if value > cap else value)
 
 
-@dataclass(frozen=True)
-class ServiceTemplate:
-    """One service's membership skeleton: lifetime and initial descriptors,
-    plus the initial spec drawn for each descriptor and the descriptor's spec
-    stream, positioned just past its constants."""
-
-    service_id: int
-    t_init: int
-    t_end: int
-    descriptors: tuple[VmDescriptor, ...]
-    initial_specs: dict[tuple[int, int, int], ResourceSpec]
-    spec_streams: dict[tuple[int, int, int], SplitMix64] = field(compare=False, repr=False)
-
-
 @dataclass(slots=True)
 class _VmRecord:
     """A VM being generated: its descriptor (ending at its scale-in tick once
     scaled in), its spec stream positioned past the constants (until the
     series is filled), its initial spec, and, once filled, one sample per
-    alive tick in tick order. Slotted, as ``sample_service`` and
-    ``generate`` each make one per VM."""
+    alive tick in tick order. Slotted, as ``generate`` makes one per VM."""
 
     descriptor: VmDescriptor
     spec_stream: SplitMix64 | None
@@ -430,9 +417,10 @@ def _vm_birth(
     """A VM born on its service's arrival or by a scale-out. It takes the
     datacenter's next index, advancing ``next_vm_index``, and draws its
     constants from its own stream, which the record keeps positioned just
-    past them to drive the vertical steps. The descriptor is built checked:
-    ``sample_service`` may get a config ``check_config`` never saw."""
-    vm_index = next_vm_index.setdefault(dc_id, 1)
+    past them to drive the vertical steps. The descriptor is not checked
+    again: ``check_config`` has accepted the ranges its fields come from,
+    ids start at 1, and ``generate`` births a VM only before ``t_end``."""
+    vm_index = next_vm_index[dc_id]
     next_vm_index[dc_id] = vm_index + 1
     stream = derive_stream(config.seed, STREAM_VM_SPEC, service_id, dc_id, vm_index)
     sizing = config.sizing
@@ -443,51 +431,7 @@ def _vm_birth(
     )
     revenue = as_quantity(stream.randint(sizing.revenue[0], sizing.revenue[1]))
     sla = stream.randint(sizing.sla[0], sizing.sla[1])
-    descriptor = VmDescriptor(
-        service_id=service_id, dc_id=dc_id, vm_index=vm_index, revenue=revenue, sla=sla, t_init=t_init, t_end=t_end
-    )
-    return _VmRecord(descriptor, stream, spec)
-
-
-def sample_service(
-    rng: SplitMix64,
-    config: GeneratorConfig,
-    t: int,
-    *,
-    service_id: int = 1,
-    next_vm_index: dict[int, int] | None = None,
-    min_lifetime: int = 1,
-) -> ServiceTemplate:
-    """Draw one service arriving at tick t.
-
-    ``rng`` is the service's shape stream (lifetime first, then one VM-count
-    draw per datacenter). Per-VM constants come from each VM's own derived
-    stream. ``next_vm_index`` maps dc_id to the next unused VM index there
-    and is advanced in place; indices start at 1 when omitted. The lifetime
-    is clipped to the horizon. When horizontal elasticity is enabled, the
-    initial count is clamped into the policy's [min_vms, max_vms] bounds.
-    """
-    if not 0 <= t < config.horizon:
-        raise ValidationError(f"arrival tick {t} outside [0, {config.horizon})")
-    if next_vm_index is None:
-        next_vm_index = {dc: 1 for dc in range(1, config.num_datacenters + 1)}
-    lifetime = max(rng.randint(config.service_shape.lifetime[0], config.service_shape.lifetime[1]), min_lifetime)
-    t_end = min(t + lifetime, config.horizon)
-    horizontal = capabilities(config.environment).horizontal
-    records: list[_VmRecord] = []
-    for dc_id in range(1, config.num_datacenters + 1):
-        count = rng.randint(config.service_shape.vms_per_dc[0], config.service_shape.vms_per_dc[1])
-        if horizontal:
-            count = min(max(count, config.horizontal_policy.min_vms), config.horizontal_policy.max_vms)
-        records.extend(_vm_birth(config, service_id, dc_id, next_vm_index, t, t_end) for _ in range(count))
-    return ServiceTemplate(
-        service_id=service_id,
-        t_init=t,
-        t_end=t_end,
-        descriptors=tuple(record.descriptor for record in records),
-        initial_specs={record.descriptor.key: record.spec for record in records},
-        spec_streams={record.descriptor.key: record.spec_stream for record in records},
-    )
+    return _VmRecord(_new_descriptor(service_id, dc_id, vm_index, revenue, sla, t_init, t_end), stream, spec)
 
 
 def generate(config: GeneratorConfig) -> Trace:
@@ -523,42 +467,43 @@ def generate(config: GeneratorConfig) -> Trace:
         arrivals.extend([t] * count)
 
     # membership: service shapes; each service keeps its alive VMs per datacenter
+    shape = config.service_shape
+    policy = config.horizontal_policy
     next_vm_index = {dc: 1 for dc in range(1, num_dcs + 1)}
-    # (service_id, t_init, t_end, alive VMs per datacenter); the template
-    # itself is dropped, so no spec stream outlives its series fill
+    # (service_id, t_init, t_end, alive VMs per datacenter)
     services: list[tuple[int, int, int, dict[int, list[_VmRecord]]]] = []
     records: dict[tuple[int, int, int], _VmRecord] = {}
+
+    def birth(service_id: int, t_end: int, alive: dict[int, list[_VmRecord]], dc_id: int, t: int) -> None:
+        record = _vm_birth(config, service_id, dc_id, next_vm_index, t, t_end)
+        records[record.descriptor.key] = record
+        alive[dc_id].append(record)
+
     for service_id, t0 in enumerate(arrivals, start=1):
-        # the injection pass needs a VM alive for two consecutive ticks; pin
-        # the first service's lifetime when elasticity must be demonstrated
-        min_lifetime = 2 if (config.guarantee_dynamics and caps.any_elasticity and service_id == 1) else 1
+        # the service's shape stream: its lifetime, then one VM count per datacenter
         shape_stream = derive_stream(config.seed, STREAM_SERVICE, service_id)
-        template = sample_service(
-            shape_stream,
-            config,
-            t0,
-            service_id=service_id,
-            next_vm_index=next_vm_index,
-            min_lifetime=min_lifetime,
-        )
+        lifetime = shape_stream.randint(shape.lifetime[0], shape.lifetime[1])
+        if config.guarantee_dynamics and caps.any_elasticity and service_id == 1:
+            # the injection pass needs a VM alive for two consecutive ticks
+            lifetime = max(lifetime, 2)
+        t_end = min(t0 + lifetime, horizon)
         alive: dict[int, list[_VmRecord]] = {dc: [] for dc in range(1, num_dcs + 1)}
-        for desc in template.descriptors:
-            record = _VmRecord(desc, template.spec_streams[desc.key], template.initial_specs[desc.key])
-            records[desc.key] = record
-            alive[desc.dc_id].append(record)
-        services.append((service_id, t0, template.t_end, alive))
+        for dc_id in range(1, num_dcs + 1):
+            count = shape_stream.randint(shape.vms_per_dc[0], shape.vms_per_dc[1])
+            if caps.horizontal:
+                count = min(max(count, policy.min_vms), policy.max_vms)
+            for _ in range(count):
+                birth(service_id, t_end, alive, dc_id, t0)
+        services.append((service_id, t0, t_end, alive))
 
     # membership: scale schedule
     if caps.horizontal:
-        policy = config.horizontal_policy
 
         def scale(
             service_id: int, t_end: int, alive: dict[int, list[_VmRecord]], direction: str, dc_id: int, t: int
         ) -> None:
             if direction == "out":
-                record = _vm_birth(config, service_id, dc_id, next_vm_index, t, t_end)
-                records[record.descriptor.key] = record
-                alive[dc_id].append(record)
+                birth(service_id, t_end, alive, dc_id, t)
             else:
                 # indices only grow, so the last alive VM has the highest; a
                 # scale action fires at most once per tick, so it was born before t

@@ -178,9 +178,6 @@ class VmDescriptor:
     def key(self) -> tuple[int, int, int]:
         return (self.service_id, self.dc_id, self.vm_index)
 
-    def alive_at(self, t: int) -> bool:
-        return self.t_init <= t < self.t_end
-
 
 @dataclass(frozen=True, slots=True)
 class VmSample:
@@ -333,9 +330,6 @@ class Trace:
 
     def descriptor_map(self) -> dict[tuple[int, int, int], VmDescriptor]:
         return {desc.key: desc for desc in self.descriptors}
-
-    def service_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({desc.service_id for desc in self.descriptors}))
 
     @cached_property
     def _population(self) -> dict[int, list[tuple[VmDescriptor, ...]]]:

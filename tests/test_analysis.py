@@ -144,9 +144,9 @@ def _bits_by_hand(trace: Trace, arrival_as_horizontal: bool) -> Capabilities:
     horizontal = False
     for service_id, (lo, hi) in spans.items():
         members = [d for d in trace.descriptors if d.service_id == service_id]
-        previous = {d.key for d in members if d.alive_at(lo)}
+        previous = {d.key for d in members if d.t_init <= lo < d.t_end}
         for t in range(lo + 1, hi):
-            current = {d.key for d in members if d.alive_at(t)}
+            current = {d.key for d in members if d.t_init <= t < d.t_end}
             if current != previous:
                 horizontal = True
             previous = current
@@ -521,7 +521,7 @@ def _reference_structural_violations(trace: Trace) -> list[Violation]:
             continue
         seen.add(full_key)
         present[sample.vm_key].add(sample.t)
-        if not desc.alive_at(sample.t):
+        if not desc.t_init <= sample.t < desc.t_end:
             out.append(
                 _reference_vm_violation(
                     RULE_LIFETIME,
@@ -542,7 +542,7 @@ def _reference_structural_violations(trace: Trace) -> list[Violation]:
 def _reference_event_violations(trace: Trace, out: list[Violation]) -> None:
     header = trace.header
     by_key = trace.descriptor_map()
-    known_services = set(trace.service_ids())
+    known_services = {d.service_id for d in trace.descriptors}
 
     arrivals: dict[int, list[int]] = {}
     departures: dict[int, list[int]] = {}
@@ -717,9 +717,9 @@ def _reference_membership_changes(trace: Trace) -> list[tuple[int, tuple[int, in
     for service_id in sorted(by_service):
         span_start, span_end = spans[service_id]
         members = by_service[service_id]
-        previous = {d.key for d in members if d.alive_at(span_start)}
+        previous = {d.key for d in members if d.t_init <= span_start < d.t_end}
         for t in range(span_start + 1, span_end):
-            current = {d.key for d in members if d.alive_at(t)}
+            current = {d.key for d in members if d.t_init <= t < d.t_end}
             for key in sorted(current - previous):
                 changes.append((t, key, "joins"))
             for key in sorted(previous - current):

@@ -30,7 +30,6 @@ from vmptrace.generator import (
     evolve_utilization,
     evolve_vertical,
     generate,
-    sample_service,
 )
 from vmptrace.model import EventKind, ResourceSpec, UtilizationSample, full_utilization
 from vmptrace.rng import SplitMix64, derive_stream
@@ -96,60 +95,75 @@ def test_header_records_the_generating_config():
     assert trace.header.config_digest == config_digest(config)
 
 
-def test_sample_service_spans_every_datacenter():
+def _arrivals(trace) -> dict[int, int]:
+    return {event.service_id: event.t for event in trace.events if event.kind is EventKind.SERVICE_ARRIVAL}
+
+
+def test_each_service_keeps_its_drawn_count_in_every_datacenter_for_its_lifetime():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), horizon=50, num_datacenters=3),
+        default_config(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
         service_shape=ServiceShape(vms_per_dc=(2, 2), lifetime=(3, 3)),
     )
-    template = sample_service(derive_stream(0, 99), config, 5)
-    assert template.service_id == 1
-    assert template.t_init == 5
-    assert template.t_end == 8
-    assert len(template.descriptors) == 6
-    assert {d.dc_id for d in template.descriptors} == {1, 2, 3}
+    trace = generate(config)
+    arrivals = _arrivals(trace)
+    assert len(arrivals) > 1 and max(arrivals.values()) > 17, "the seed should give a service clipped by the horizon"
+    for service_id, t0 in arrivals.items():
+        members = [d for d in trace.descriptors if d.service_id == service_id]
+        assert sorted(d.dc_id for d in members) == [1, 1, 2, 2, 3, 3]
+        assert {(d.t_init, d.t_end) for d in members} == {(t0, min(t0 + 3, 20))}
+
+
+def test_vm_indices_in_each_datacenter_run_from_one_in_service_order():
+    config = dataclasses.replace(
+        default_config(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
+        service_shape=ServiceShape(vms_per_dc=(1, 3), lifetime=(3, 3)),
+    )
+    trace = generate(config)
     for dc_id in (1, 2, 3):
-        indices = sorted(d.vm_index for d in template.descriptors if d.dc_id == dc_id)
-        assert indices == [1, 2]
-    for descriptor in template.descriptors:
-        assert descriptor.t_init == 5 and descriptor.t_end == 8
-        assert descriptor.sla == 1
-        assert 1 <= descriptor.revenue <= 100
-        spec = template.initial_specs[descriptor.key]
-        assert 1 <= spec.vcpu <= 16
-        assert 1 <= spec.vram <= 64
-        assert 10 <= spec.vnet <= 1000
+        members = sorted((d.service_id, d.vm_index) for d in trace.descriptors if d.dc_id == dc_id)
+        assert [vm_index for _, vm_index in members] == list(range(1, len(members) + 1))
 
 
-def test_sample_service_advances_the_index_counters():
+@pytest.mark.parametrize("coords", [(0, 0), (1, 0), (2, 3), (3, 3)])
+def test_first_samples_lie_within_the_sizing_ranges(coords):
+    sizing = SizingRanges(vcpu=(2, 9), vram=(0, 5), vnet=(10, 20), revenue=(3, 50), sla=(2, 4))
+    config = dataclasses.replace(default_config(env_from_coords(*coords), seed=11, horizon=12), sizing=sizing)
+    trace = generate(config)
+    first = {sample.vm_key: sample for sample in reversed(trace.samples)}
+    assert trace.descriptors
+    for desc in trace.descriptors:
+        spec = first[desc.key].spec
+        assert first[desc.key].t == desc.t_init
+        assert sizing.vcpu[0] <= spec.vcpu <= sizing.vcpu[1]
+        assert sizing.vram[0] <= spec.vram <= sizing.vram[1]
+        assert sizing.vnet[0] <= spec.vnet <= sizing.vnet[1]
+        assert sizing.revenue[0] <= desc.revenue <= sizing.revenue[1]
+        assert sizing.sla[0] <= desc.sla <= sizing.sla[1]
+
+
+def test_the_guarantee_gives_the_first_service_two_ticks():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), horizon=50, num_datacenters=2),
-        service_shape=ServiceShape(vms_per_dc=(2, 2), lifetime=(3, 3)),
+        default_config(env_from_coords(2, 0), seed=0, horizon=10, guarantee_dynamics=True),
+        arrival=ArrivalModel(rate=1.0),
+        service_shape=ServiceShape(vms_per_dc=(1, 2), lifetime=(1, 1)),
     )
-    counters = {1: 5, 2: 1}
-    template = sample_service(derive_stream(0, 98), config, 0, service_id=4, next_vm_index=counters)
-    assert template.service_id == 4
-    assert sorted(d.vm_index for d in template.descriptors if d.dc_id == 1) == [5, 6]
-    assert sorted(d.vm_index for d in template.descriptors if d.dc_id == 2) == [1, 2]
-    assert counters == {1: 7, 2: 3}
+    trace = generate(config)
+    spans = {d.service_id: d.t_end - d.t_init for d in trace.descriptors}
+    assert spans == {service_id: 2 if service_id == 1 else 1 for service_id in range(1, 11)}
 
 
-def test_sample_service_respects_the_minimum_lifetime():
+def test_lifetimes_are_clipped_to_the_horizon():
     config = dataclasses.replace(
         default_config(env_from_coords(0, 0), horizon=50),
-        service_shape=ServiceShape(vms_per_dc=(1, 1), lifetime=(1, 1)),
-    )
-    template = sample_service(derive_stream(0, 97), config, 0, min_lifetime=3)
-    assert template.t_end - template.t_init == 3
-
-
-def test_sample_service_clamps_to_the_horizon():
-    config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), horizon=50),
+        arrival=ArrivalModel(rate=1.0),
         service_shape=ServiceShape(vms_per_dc=(1, 1), lifetime=(5, 5)),
     )
-    template = sample_service(derive_stream(0, 96), config, 48)
-    assert template.t_init == 48
-    assert template.t_end == 50
+    trace = generate(config)
+    arrivals = _arrivals(trace)
+    assert arrivals == {service_id: service_id - 1 for service_id in range(1, 51)}
+    for desc in trace.descriptors:
+        assert desc.t_end == min(arrivals[desc.service_id] + 5, 50)
+    assert {d.t_end for d in trace.descriptors if d.t_init >= 46} == {50}
 
 
 def test_initial_vm_count_is_clamped_into_the_horizontal_bounds():
@@ -159,7 +173,7 @@ def test_initial_vm_count_is_clamped_into_the_horizontal_bounds():
         horizontal_policy=HorizontalPolicy(p_scale=0.0, min_vms=2, max_vms=5),
     )
     trace = generate(config)
-    for service_id in trace.service_ids():
+    for service_id in {d.service_id for d in trace.descriptors}:
         for dc_id in (1, 2):
             born = [
                 d
@@ -650,7 +664,7 @@ def test_vm_indices_are_never_reused_within_a_datacenter():
         horizontal_policy=HorizontalPolicy(p_scale=1.0, min_vms=1, max_vms=4),
     )
     trace = generate(config)
-    for service_id in trace.service_ids():
+    for service_id in {d.service_id for d in trace.descriptors}:
         for dc_id in range(1, trace.header.num_datacenters + 1):
             indices = [
                 d.vm_index

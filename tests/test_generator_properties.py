@@ -3,6 +3,8 @@
 * With ``guarantee_dynamics`` set, ``classify`` recovers the configured
   environment; without it, every observed capability is an enabled one.
 * Strict validation is clean when utilization may not exceed the request.
+* Every descriptor passes the checks of the ``VmDescriptor`` constructor,
+  which a VM's birth skips.
 * The fill loop gives the same trace, down to each Decimal's exponent, as
   the straightforward loop kept below as a reference: that loop rebuilds the
   spec and utilization on every tick and always derives the utilization
@@ -122,6 +124,21 @@ def test_generated_traces_sit_where_the_config_puts_them(environment, data):
     if not config.utilization_policy.allow_exceed_request:
         report = validate(trace, MODE_STRICT)
         assert report.ok, report.violations[:3]
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS, ids=str)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_born_descriptors_pass_the_checking_constructor(environment, data):
+    config = data.draw(_small_configs(environment))
+    trace = _outcome(config)
+    if isinstance(trace, ConfigError):
+        return
+    for desc in trace.descriptors:
+        # replace runs __post_init__, which converts or refuses what a birth got wrong
+        assert dataclasses.replace(desc) == desc
+        assert type(desc.revenue) is Decimal
+        assert desc.t_end <= config.horizon
 
 
 # at precision 1 a step of magnitude 0 rewrites each request 1 as 1.0; the

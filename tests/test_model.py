@@ -241,10 +241,9 @@ def test_full_utilization_mirrors_the_request():
 def test_descriptor_lifetime_is_half_open():
     desc = VmDescriptor(1, 2, 3, revenue=0, sla=1, t_init=2, t_end=5)
     assert desc.key == (1, 2, 3)
-    assert not desc.alive_at(1)
-    assert desc.alive_at(2)
-    assert desc.alive_at(4)
-    assert not desc.alive_at(5)
+    trace = Trace(TraceHeader(env_from_coords(0, 0), horizon=7, num_datacenters=2), (desc,))
+    assert [t for t in range(7) if dc_population(trace, 2, t)] == [2, 3, 4]
+    assert dc_population(trace, 2, 2) == [(1, 3)]
 
 
 def test_descriptor_bounds_are_checked():
@@ -346,14 +345,14 @@ def _scan_dc_population(trace, dc_id, t):
     pairs = [
         (desc.service_id, desc.vm_index)
         for desc in trace.descriptors
-        if desc.dc_id == dc_id and desc.alive_at(t)
+        if desc.dc_id == dc_id and desc.t_init <= t < desc.t_end
     ]
     pairs.sort()
     return pairs
 
 
 def _scan_service_vm_count(trace, service_id, t):
-    return sum(1 for desc in trace.descriptors if desc.service_id == service_id and desc.alive_at(t))
+    return sum(1 for desc in trace.descriptors if desc.service_id == service_id and desc.t_init <= t < desc.t_end)
 
 
 def _population_traces():
