@@ -50,7 +50,6 @@ from .generator import (
     config_digest,
     config_from_dict,
     config_to_dict,
-    default_config,
     evolve_horizontal,
     evolve_utilization,
     evolve_vertical,
@@ -125,7 +124,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "dc_population",
-    "default_config",
     "enumerate_environments",
     "env_from_capabilities",
     "env_from_coords",

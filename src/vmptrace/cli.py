@@ -81,10 +81,6 @@ def _emit_bytes(path: str, data: bytes) -> None:
         raise TraceIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_text(path: str, text: str) -> None:
-    _emit_bytes(path, text.encode("utf-8"))
-
-
 def handle_generate(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
@@ -151,12 +147,12 @@ def handle_stats(args: argparse.Namespace) -> int:
         text = dump_json(series.to_json_dict(), indent=2) + "\n"
     else:
         text = series.render_table()
-    _emit_text(args.out, text)
+    _emit_bytes(args.out, text.encode("utf-8"))
     return EXIT_OK
 
 
 def handle_convert(args: argparse.Namespace) -> int:
-    _emit_text(args.out, trace_to_csv_text(_read_input(args.infile)))
+    _emit_bytes(args.out, trace_to_csv_text(_read_input(args.infile)).encode("utf-8"))
     return EXIT_OK
 
 
@@ -242,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, IntegrityError, TraceIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FormatError, IntegrityError, TraceIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception:

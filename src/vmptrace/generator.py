@@ -159,23 +159,6 @@ class GeneratorConfig:
     guarantee_dynamics: bool = False
 
 
-def default_config(
-    environment: EnvironmentId,
-    *,
-    seed: int = 0,
-    horizon: int = 20,
-    num_datacenters: int = 2,
-    guarantee_dynamics: bool = False,
-) -> GeneratorConfig:
-    return GeneratorConfig(
-        environment=environment,
-        horizon=horizon,
-        num_datacenters=num_datacenters,
-        seed=seed,
-        guarantee_dynamics=guarantee_dynamics,
-    )
-
-
 def _check_int_range(name: str, value, minimum: int) -> None:
     ok = (
         isinstance(value, tuple)
@@ -411,29 +394,6 @@ class _VmRecord:
     samples: list[VmSample] = field(default_factory=list)
 
 
-def _vm_birth(
-    config: GeneratorConfig, service_id: int, dc_id: int, next_vm_index: dict[int, int], t_init: int, t_end: int
-) -> _VmRecord:
-    """A VM born on its service's arrival or by a scale-out. It takes the
-    datacenter's next index, advancing ``next_vm_index``, and draws its
-    constants from its own stream, which the record keeps positioned just
-    past them to drive the vertical steps. The descriptor is not checked
-    again: ``check_config`` has accepted the ranges its fields come from,
-    ids start at 1, and ``generate`` births a VM only before ``t_end``."""
-    vm_index = next_vm_index[dc_id]
-    next_vm_index[dc_id] = vm_index + 1
-    stream = derive_stream(config.seed, STREAM_VM_SPEC, service_id, dc_id, vm_index)
-    sizing = config.sizing
-    spec = _new_spec(
-        as_quantity(stream.randint(sizing.vcpu[0], sizing.vcpu[1])),
-        as_quantity(stream.randint(sizing.vram[0], sizing.vram[1])),
-        as_quantity(stream.randint(sizing.vnet[0], sizing.vnet[1])),
-    )
-    revenue = as_quantity(stream.randint(sizing.revenue[0], sizing.revenue[1]))
-    sla = stream.randint(sizing.sla[0], sizing.sla[1])
-    return _VmRecord(_new_descriptor(service_id, dc_id, vm_index, revenue, sla, t_init, t_end), stream, spec)
-
-
 def generate(config: GeneratorConfig) -> Trace:
     """Produce the deterministic trace described by the configuration.
 
@@ -469,14 +429,31 @@ def generate(config: GeneratorConfig) -> Trace:
     # membership: service shapes; each service keeps its alive VMs per datacenter
     shape = config.service_shape
     policy = config.horizontal_policy
+    sizing = config.sizing
     next_vm_index = {dc: 1 for dc in range(1, num_dcs + 1)}
     # (service_id, t_init, t_end, alive VMs per datacenter)
     services: list[tuple[int, int, int, dict[int, list[_VmRecord]]]] = []
     records: dict[tuple[int, int, int], _VmRecord] = {}
 
     def birth(service_id: int, t_end: int, alive: dict[int, list[_VmRecord]], dc_id: int, t: int) -> None:
-        record = _vm_birth(config, service_id, dc_id, next_vm_index, t, t_end)
-        records[record.descriptor.key] = record
+        # a VM born on its service's arrival or by a scale-out takes the
+        # datacenter's next index and draws its constants from its own stream,
+        # which the record keeps positioned just past them to drive the
+        # vertical steps. The descriptor is not checked again: check_config
+        # has accepted the ranges its fields come from, ids start at 1, and a
+        # VM is born only before t_end
+        vm_index = next_vm_index[dc_id]
+        next_vm_index[dc_id] = vm_index + 1
+        stream = derive_stream(config.seed, STREAM_VM_SPEC, service_id, dc_id, vm_index)
+        spec = _new_spec(
+            as_quantity(stream.randint(sizing.vcpu[0], sizing.vcpu[1])),
+            as_quantity(stream.randint(sizing.vram[0], sizing.vram[1])),
+            as_quantity(stream.randint(sizing.vnet[0], sizing.vnet[1])),
+        )
+        revenue = as_quantity(stream.randint(sizing.revenue[0], sizing.revenue[1]))
+        sla = stream.randint(sizing.sla[0], sizing.sla[1])
+        record = _VmRecord(_new_descriptor(service_id, dc_id, vm_index, revenue, sla, t, t_end), stream, spec)
+        records[service_id, dc_id, vm_index] = record
         alive[dc_id].append(record)
 
     for service_id, t0 in enumerate(arrivals, start=1):
@@ -642,21 +619,19 @@ def _inject_usage_gap(records: list[_VmRecord], kind: str) -> None:
     raise ConfigError(f"guarantee_dynamics: no VM has a positive request to host a {kind} overbooking instance")
 
 
-def config_to_dict(config: GeneratorConfig) -> dict:
-    """Plain-JSON form of a configuration; the inverse of config_from_dict."""
-    return _to_plain(config)
+def config_to_dict(config) -> dict:
+    """Plain-JSON form of a configuration; the inverse of config_from_dict.
 
-
-def _to_plain(obj) -> dict:
-    # sections are the fields with a default factory, [lo, hi] pairs the
-    # ones with a tuple default; every other value passes through untouched
+    Sections, the fields with a default factory, recurse; [lo, hi] pairs, the
+    fields with a tuple default, become lists; every other value passes
+    through untouched."""
     plain = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for f in fields(config):
+        value = getattr(config, f.name)
         if f.name == "environment":
             value = [value.elasticity, value.overbooking]
         elif f.default_factory is not MISSING:
-            value = _to_plain(value)
+            value = config_to_dict(value)
         elif isinstance(f.default, tuple):
             value = list(value)
         plain[f.name] = value

@@ -549,50 +549,30 @@ def dump_json(value, indent: int | None = None) -> str:
     Dict keys keep insertion order; Decimals render exactly with their
     stored precision (so a ratio quantized to 4 places keeps 4 places).
     """
-    pieces: list[str] = []
-    _dump_json_into(value, indent, 0, pieces)
-    return "".join(pieces)
-
-
-def _dump_json_into(value, indent: int | None, depth: int, pieces: list[str]) -> None:
     if isinstance(value, dict):
-        _dump_container(value.items(), "{", "}", indent, depth, pieces, keyed=True)
+        colon = ":" if indent is None else ": "
+        items = [_json_key(key) + colon + dump_json(entry, indent) for key, entry in value.items()]
+        brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        _dump_container(value, "[", "]", indent, depth, pieces, keyed=False)
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, bool) or value is None:
-        pieces.append(json.dumps(value))
+        items = [dump_json(item, indent) for item in value]
+        brackets = "[]"
+    elif isinstance(value, (str, bool)) or value is None:
+        return json.dumps(value)
     elif isinstance(value, int):
-        pieces.append(str(value))
+        return str(value)
     elif isinstance(value, Decimal):
-        pieces.append(format(value, "f"))
+        return format(value, "f")
     else:
         raise FormatError(f"cannot serialize {type(value).__name__} to JSON")
+    if indent is None or not items:
+        return brackets[0] + ",".join(items) + brackets[1]
+    # json.dumps escapes a newline inside a string, so a rendered item's raw
+    # newlines separate its own lines, each indented once more one level down
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + ",\n".join(items).replace("\n", pad) + "\n" + brackets[1]
 
 
-def _dump_container(items, open_ch: str, close_ch: str, indent, depth, pieces, *, keyed: bool) -> None:
-    items = list(items)
-    if not items:
-        pieces.append(open_ch + close_ch)
-        return
-    if indent is None:
-        joiner, prefix, suffix = ",", "", ""
-    else:
-        pad = " " * (indent * (depth + 1))
-        joiner = ",\n" + pad
-        prefix = "\n" + pad
-        suffix = "\n" + " " * (indent * depth)
-    pieces.append(open_ch + prefix)
-    for position, item in enumerate(items):
-        if position:
-            pieces.append(joiner)
-        if keyed:
-            key, entry = item
-            if not isinstance(key, str):
-                raise FormatError(f"JSON object keys must be strings, got {key!r}")
-            pieces.append(json.dumps(key) + ":" + ("" if indent is None else " "))
-            _dump_json_into(entry, indent, depth + 1, pieces)
-        else:
-            _dump_json_into(item, indent, depth + 1, pieces)
-    pieces.append(suffix + close_ch)
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise FormatError(f"JSON object keys must be strings, got {key!r}")
+    return json.dumps(key)

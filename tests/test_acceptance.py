@@ -26,7 +26,6 @@ from vmptrace.generator import (
     SizingRanges,
     UtilizationPolicy,
     VerticalPolicy,
-    default_config,
     generate,
 )
 from vmptrace.model import (
@@ -187,7 +186,7 @@ def test_criterion_2_classification_round_trip():
     for env in enumerate_environments():
         for seed in range(10):
             total += 1
-            config = default_config(
+            config = GeneratorConfig(
                 env, seed=seed, horizon=50, num_datacenters=3, guarantee_dynamics=True
             )
             observed = classify(generate(config))
@@ -226,7 +225,7 @@ def test_criterion_3_fixture_classification():
 
 
 def test_criterion_4_determinism():
-    config = default_config(env_from_coords(1, 3), seed=21, horizon=25, num_datacenters=2)
+    config = GeneratorConfig(env_from_coords(1, 3), seed=21, horizon=25, num_datacenters=2)
     in_process = trace_to_bytes(generate(config))
     assert in_process == trace_to_bytes(generate(config))
 
@@ -259,8 +258,8 @@ def _round_trip_configs() -> list[GeneratorConfig]:
     configs = []
     for env in enumerate_environments():
         for seed in range(12):
-            configs.append(default_config(env, seed=seed, horizon=12, num_datacenters=2))
-    varied = default_config(env_from_coords(3, 3), seed=99, horizon=15, num_datacenters=3)
+            configs.append(GeneratorConfig(env, seed=seed, horizon=12, num_datacenters=2))
+    varied = GeneratorConfig(env_from_coords(3, 3), seed=99, horizon=15, num_datacenters=3)
     configs.extend(
         [
             dataclasses.replace(varied, arrival=ArrivalModel(rate=1.5, burst=True)),
@@ -298,7 +297,7 @@ def test_criterion_5_serialization_round_trip():
 
 
 def _conformant_static_base() -> tuple[Trace, VmDescriptor, int]:
-    trace = generate(default_config(env_from_coords(0, 0), seed=3, horizon=8))
+    trace = generate(GeneratorConfig(env_from_coords(0, 0), seed=3, horizon=8))
     host = trace.descriptors[0]
     assert host.t_end - host.t_init >= 3
     return trace, host, host.t_init + 1

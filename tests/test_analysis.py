@@ -42,7 +42,7 @@ from vmptrace.environments import (
 )
 from vmptrace.errors import ConfigError, IntegrityError, ValidationError
 from vmptrace.fixtures import FixtureId, fixture_trace
-from vmptrace.generator import default_config, generate
+from vmptrace.generator import GeneratorConfig, generate
 from vmptrace.model import (
     EventKind,
     ResourceSpec,
@@ -110,7 +110,7 @@ def _add_member(trace: Trace, host_key: tuple[int, int, int], join_t: int) -> Tr
 
 
 def _static_base(seed: int = 3, horizon: int = 8) -> Trace:
-    trace = generate(default_config(env_from_coords(0, 0), seed=seed, horizon=horizon))
+    trace = generate(GeneratorConfig(env_from_coords(0, 0), seed=seed, horizon=horizon))
     host = trace.descriptors[0]
     assert host.t_end - host.t_init >= 3, "test base needs a VM alive three ticks"
     return trace
@@ -201,7 +201,7 @@ def test_declared_environment_overrides_the_header():
     trace = fixture_trace(FixtureId.ENV_0_1)
     report = validate(trace, mode=MODE_STRICT, declared=env_from_coords(0, 0))
     assert {v.rule for v in report.violations} == {RULE_NO_SERVER_OVERBOOKING}
-    static = generate(default_config(env_from_coords(0, 0), seed=3, horizon=8))
+    static = generate(GeneratorConfig(env_from_coords(0, 0), seed=3, horizon=8))
     assert validate(static, mode=MODE_STRICT, declared=env_from_coords(3, 3)).ok
 
 
@@ -244,9 +244,9 @@ def test_events_past_the_horizon_are_flagged():
 
 def test_missing_scale_event_is_a_structural_violation():
     config = dataclasses.replace(
-        default_config(env_from_coords(1, 0), seed=3, horizon=20),
+        GeneratorConfig(env_from_coords(1, 0), seed=3, horizon=20),
         horizontal_policy=dataclasses.replace(
-            default_config(env_from_coords(1, 0)).horizontal_policy, p_scale=1.0
+            GeneratorConfig(env_from_coords(1, 0)).horizontal_policy, p_scale=1.0
         ),
     )
     trace = generate(config)
@@ -319,7 +319,7 @@ def test_classify_refuses_structurally_invalid_traces():
 def test_classifier_matches_an_independent_re_derivation():
     for env in enumerate_environments():
         for seed, guarantee in ((0, True), (1, True), (3, False)):
-            config = default_config(
+            config = GeneratorConfig(
                 env, seed=seed, horizon=12, num_datacenters=2, guarantee_dynamics=guarantee
             )
             trace = generate(config)
@@ -332,7 +332,7 @@ def test_classifier_matches_an_independent_re_derivation():
 
 def test_classified_environment_is_minimal():
     for env in enumerate_environments():
-        config = default_config(env, seed=2, horizon=10, guarantee_dynamics=True)
+        config = GeneratorConfig(env, seed=2, horizon=10, guarantee_dynamics=True)
         trace = generate(config)
         observed = classify(trace)
         assert observed == env
@@ -378,7 +378,7 @@ def test_stats_rows_are_dense_and_empty_cells_have_no_ratio():
 
 def test_stats_agree_with_direct_summation():
     trace = generate(
-        default_config(env_from_coords(3, 3), seed=9, horizon=10, guarantee_dynamics=True)
+        GeneratorConfig(env_from_coords(3, 3), seed=9, horizon=10, guarantee_dynamics=True)
     )
     series = stats(trace)
     rows = {(row.dc_id, row.t): row for row in series.rows}
@@ -918,17 +918,19 @@ def _differential_cases() -> list[tuple[str, Trace]]:
     cases = []
     for env in enumerate_environments():
         for seed, guarantee in ((0, True), (4, False)):
-            config = default_config(env, seed=seed, horizon=10, guarantee_dynamics=guarantee)
+            config = GeneratorConfig(env, seed=seed, horizon=10, guarantee_dynamics=guarantee)
             cases.append((f"generated-{env}-{seed}", generate(config)))
     cases.extend((f"fixture-{fixture.value}", fixture_trace(fixture)) for fixture in FixtureId)
     cases.append(("join-and-leave-at-one-tick", _join_and_leave_at_one_tick()))
 
-    base = generate(default_config(env_from_coords(3, 3), seed=1, horizon=10, guarantee_dynamics=True))
+    base = generate(GeneratorConfig(env_from_coords(3, 3), seed=1, horizon=10, guarantee_dynamics=True))
     first, host = base.samples[0], base.descriptors[0]
     bumped = ResourceSpec(first.spec.vcpu + 5, first.spec.vram, first.spec.vnet)
     duplicated = Trace(base.header, base.descriptors, base.events, (first, dataclasses.replace(first, spec=bumped), *base.samples[1:]))
     stray = VmSample(host.service_id, host.dc_id, 77, first.t, first.spec, first.util)
     late = dataclasses.replace(first, t=host.t_end) if host.t_end < base.header.horizon else dataclasses.replace(first, t=0)
+    arrival = base.events[0]
+    early_scale_out = TraceEvent(host.t_init, EventKind.VM_SCALE_OUT, host.service_id, dc_id=host.dc_id, vm_index=host.vm_index)
     cases += [
         ("duplicate-sample", duplicated),
         ("unknown-vm-sample", dataclasses.replace(base, samples=(*base.samples, stray))),
@@ -939,6 +941,9 @@ def _differential_cases() -> list[tuple[str, Trace]]:
         ("unknown-service-event", dataclasses.replace(base, events=(*base.events, TraceEvent(0, EventKind.SERVICE_ARRIVAL, 99)))),
         ("unknown-vm-event", dataclasses.replace(base, events=(*base.events, TraceEvent(1, EventKind.VM_SCALE_IN, 1, dc_id=1, vm_index=88)))),
         ("header-shrunk", dataclasses.replace(base, header=dataclasses.replace(base.header, horizon=3, num_datacenters=1))),
+        ("sla-past-header", dataclasses.replace(base, descriptors=(dataclasses.replace(host, sla=2), *base.descriptors[1:]))),
+        ("late-arrival-event", dataclasses.replace(base, events=(dataclasses.replace(arrival, t=arrival.t + 1), *base.events[1:]))),
+        ("scale-out-at-start", dataclasses.replace(base, events=(*base.events, early_scale_out))),
         # hand-built traces whose samples are out of tick order
         ("reversed", dataclasses.replace(base, samples=base.samples[::-1])),
         ("reversed-duplicate-sample", dataclasses.replace(duplicated, samples=duplicated.samples[::-1])),
@@ -958,6 +963,18 @@ def test_reports_and_classification_match_the_reference_analysis(trace):
             assert list(validate(trace, mode, declared=declared).violations) == expected, (mode, declared)
     for flag in (False, True):
         assert _outcome(classify, trace, flag) == _outcome(_reference_classify, trace, flag)
+
+
+def test_every_rule_fires_in_some_differential_case():
+    fired = {
+        violation.rule
+        for _, trace in _DIFFERENTIAL_CASES
+        for mode in (MODE_STRICT, MODE_PAPER)
+        for declared in (None, *enumerate_environments())
+        for violation in validate(trace, mode, declared=declared).violations
+    }
+    rules = {value for name, value in vars(analysis).items() if name.startswith("RULE_")}
+    assert not rules - fired
 
 
 def test_the_broken_differential_cases_are_broken():
@@ -1006,7 +1023,7 @@ def _mutant(trace: Trace, mutation: str, pick: int) -> Trace:
     pick=st.integers(0, 10**6),
 )
 def test_no_environment_violation_exactly_where_classify_fits_below(environment, seed, horizon, guarantee, mutation, pick):
-    config = default_config(environment, seed=seed, horizon=horizon, guarantee_dynamics=guarantee)
+    config = GeneratorConfig(environment, seed=seed, horizon=horizon, guarantee_dynamics=guarantee)
     try:
         generated = generate(config)
     except ConfigError:
@@ -1038,7 +1055,7 @@ def _counting_observe(monkeypatch) -> list[Trace]:
 
 def test_validate_and_classify_share_one_pass(monkeypatch):
     calls = _counting_observe(monkeypatch)
-    trace = generate(default_config(env_from_coords(3, 3), seed=2, horizon=10, guarantee_dynamics=True))
+    trace = generate(GeneratorConfig(env_from_coords(3, 3), seed=2, horizon=10, guarantee_dynamics=True))
     validate(trace)
     classify(trace, arrival_as_horizontal=True)
     validate(trace, MODE_PAPER, declared=env_from_coords(0, 0))
@@ -1048,7 +1065,7 @@ def test_validate_and_classify_share_one_pass(monkeypatch):
 
 def test_equal_traces_built_separately_keep_their_own_pass(monkeypatch):
     calls = _counting_observe(monkeypatch)
-    config = default_config(env_from_coords(1, 2), seed=5, horizon=10)
+    config = GeneratorConfig(env_from_coords(1, 2), seed=5, horizon=10)
     first, second = generate(config), generate(config)
     assert first == second and first is not second
     validate(first)
@@ -1061,7 +1078,7 @@ def test_equal_traces_built_separately_keep_their_own_pass(monkeypatch):
 
 
 def test_the_cached_pass_holds_one_sample_per_witness():
-    trace = generate(default_config(env_from_coords(3, 3), seed=2, horizon=20, guarantee_dynamics=True))
+    trace = generate(GeneratorConfig(env_from_coords(3, 3), seed=2, horizon=20, guarantee_dynamics=True))
     validate(trace)
     cached = trace.__dict__["_observation"]
     assert cached.structural == ()
@@ -1074,7 +1091,7 @@ def test_the_cached_pass_holds_one_sample_per_witness():
 
 
 def test_threads_computing_the_pass_at_once_agree():
-    trace = generate(default_config(env_from_coords(3, 3), seed=6, horizon=20, guarantee_dynamics=True))
+    trace = generate(GeneratorConfig(env_from_coords(3, 3), seed=6, horizon=20, guarantee_dynamics=True))
     declared = env_from_coords(0, 0)
     expected = (_reference_validate(trace, MODE_STRICT, declared), _reference_classify(trace))
     results: list = []

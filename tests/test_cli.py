@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import shutil
@@ -12,7 +13,7 @@ import pytest
 from vmptrace import cli
 from vmptrace.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from vmptrace.errors import ConfigError
-from vmptrace.generator import config_digest, config_from_dict, default_config
+from vmptrace.generator import GeneratorConfig, config_digest, config_from_dict
 from vmptrace.environments import env_from_coords
 from vmptrace.traceio import read_trace_file
 
@@ -154,7 +155,7 @@ def test_config_file_generation_with_overrides(tmp_path, capsys):
     ) == EXIT_OK
     override = read_trace_file(out)
     assert override.header.seed == 11
-    expected = default_config(env_from_coords(1, 2), seed=11, horizon=8)
+    expected = GeneratorConfig(env_from_coords(1, 2), seed=11, horizon=8)
     assert override.header.config_digest == config_digest(expected)
     capsys.readouterr()
 
@@ -164,6 +165,13 @@ def test_invalid_config_json_is_a_usage_error(tmp_path, capsys):
     config_path.write_text("{not json")
     assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "list.json"
+    config_path.write_text("[]")
+    assert _run(["generate", "--config", str(config_path), "--out", "-"]) == EXIT_USAGE
+    assert "must contain a JSON object" in capsys.readouterr().err
 
 
 def test_config_with_an_integer_literal_too_long_to_convert_is_a_usage_error(tmp_path, capsys):
@@ -358,6 +366,31 @@ def test_writes_are_atomic_and_leave_no_scratch_files(tmp_path):
     assert _run(["generate", "--env", "0,0", "--seed", "1", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith('{"type":"header"')
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.vmpt.jsonl"]
+
+
+def test_output_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "trace.vmpt.jsonl"
+    assert _run(["fixture", "--id", "0,1", "--out", str(out)]) == EXIT_IO
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_output_onto_a_directory_is_an_io_error_that_leaves_no_scratch_file(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    assert _run(["fixture", "--id", "0,1", "--out", str(tmp_path / "taken")]) == EXIT_IO
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_a_failing_stdout_is_an_io_error(tmp_path, monkeypatch, capsys):
+    class FailingStdout(io.StringIO):
+        def write(self, text):
+            raise OSError("stdout is gone")
+
+    out = tmp_path / "ex1.vmpt.jsonl"
+    assert _run(["fixture", "--id", "0,1", "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    assert _run(["validate", "--in", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == "error: stdout is gone\n"
 
 
 def test_cli_process_reads_stdin_and_writes_stdout(tmp_path):

@@ -25,7 +25,6 @@ from vmptrace.generator import (
     config_digest,
     config_from_dict,
     config_to_dict,
-    default_config,
     evolve_horizontal,
     evolve_utilization,
     evolve_vertical,
@@ -49,7 +48,7 @@ def _inert(config: GeneratorConfig) -> GeneratorConfig:
 
 
 def test_static_environment_produces_constant_series():
-    trace = generate(default_config(env_from_coords(0, 0), seed=42, horizon=5))
+    trace = generate(GeneratorConfig(env_from_coords(0, 0), seed=42, horizon=5))
     assert trace.samples, "expected at least one service"
     specs_seen: dict[tuple[int, int, int], set] = {}
     for sample in trace.samples:
@@ -63,7 +62,7 @@ def test_static_environment_produces_constant_series():
 
 
 def test_identical_configs_generate_identical_traces():
-    config = default_config(env_from_coords(3, 3), seed=7, horizon=15, num_datacenters=2)
+    config = GeneratorConfig(env_from_coords(3, 3), seed=7, horizon=15, num_datacenters=2)
     first = generate(config)
     second = generate(config)
     assert first == second
@@ -71,7 +70,7 @@ def test_identical_configs_generate_identical_traces():
 
 
 def test_different_seeds_generate_different_traces():
-    base = default_config(env_from_coords(3, 3), seed=0, horizon=15)
+    base = GeneratorConfig(env_from_coords(3, 3), seed=0, horizon=15)
     other = dataclasses.replace(base, seed=1)
     assert trace_to_bytes(generate(base)) != trace_to_bytes(generate(other))
 
@@ -79,13 +78,13 @@ def test_different_seeds_generate_different_traces():
 def test_generated_traces_pass_strict_validation():
     for coords in ((0, 0), (1, 0), (2, 0), (0, 3), (3, 3)):
         for seed in (0, 1):
-            config = default_config(env_from_coords(*coords), seed=seed, horizon=15)
+            config = GeneratorConfig(env_from_coords(*coords), seed=seed, horizon=15)
             report = validate(generate(config), mode="strict")
             assert report.ok, report.render_text()
 
 
 def test_header_records_the_generating_config():
-    config = default_config(env_from_coords(1, 2), seed=99, horizon=12, num_datacenters=3)
+    config = GeneratorConfig(env_from_coords(1, 2), seed=99, horizon=12, num_datacenters=3)
     trace = generate(config)
     assert trace.header.environment == config.environment
     assert trace.header.horizon == 12
@@ -101,7 +100,7 @@ def _arrivals(trace) -> dict[int, int]:
 
 def test_each_service_keeps_its_drawn_count_in_every_datacenter_for_its_lifetime():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
+        GeneratorConfig(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
         service_shape=ServiceShape(vms_per_dc=(2, 2), lifetime=(3, 3)),
     )
     trace = generate(config)
@@ -115,7 +114,7 @@ def test_each_service_keeps_its_drawn_count_in_every_datacenter_for_its_lifetime
 
 def test_vm_indices_in_each_datacenter_run_from_one_in_service_order():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
+        GeneratorConfig(env_from_coords(0, 0), seed=2, horizon=20, num_datacenters=3),
         service_shape=ServiceShape(vms_per_dc=(1, 3), lifetime=(3, 3)),
     )
     trace = generate(config)
@@ -127,7 +126,7 @@ def test_vm_indices_in_each_datacenter_run_from_one_in_service_order():
 @pytest.mark.parametrize("coords", [(0, 0), (1, 0), (2, 3), (3, 3)])
 def test_first_samples_lie_within_the_sizing_ranges(coords):
     sizing = SizingRanges(vcpu=(2, 9), vram=(0, 5), vnet=(10, 20), revenue=(3, 50), sla=(2, 4))
-    config = dataclasses.replace(default_config(env_from_coords(*coords), seed=11, horizon=12), sizing=sizing)
+    config = dataclasses.replace(GeneratorConfig(env_from_coords(*coords), seed=11, horizon=12), sizing=sizing)
     trace = generate(config)
     first = {sample.vm_key: sample for sample in reversed(trace.samples)}
     assert trace.descriptors
@@ -143,7 +142,7 @@ def test_first_samples_lie_within_the_sizing_ranges(coords):
 
 def test_the_guarantee_gives_the_first_service_two_ticks():
     config = dataclasses.replace(
-        default_config(env_from_coords(2, 0), seed=0, horizon=10, guarantee_dynamics=True),
+        GeneratorConfig(env_from_coords(2, 0), seed=0, horizon=10, guarantee_dynamics=True),
         arrival=ArrivalModel(rate=1.0),
         service_shape=ServiceShape(vms_per_dc=(1, 2), lifetime=(1, 1)),
     )
@@ -154,7 +153,7 @@ def test_the_guarantee_gives_the_first_service_two_ticks():
 
 def test_lifetimes_are_clipped_to_the_horizon():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), horizon=50),
+        GeneratorConfig(env_from_coords(0, 0), horizon=50),
         arrival=ArrivalModel(rate=1.0),
         service_shape=ServiceShape(vms_per_dc=(1, 1), lifetime=(5, 5)),
     )
@@ -168,7 +167,7 @@ def test_lifetimes_are_clipped_to_the_horizon():
 
 def test_initial_vm_count_is_clamped_into_the_horizontal_bounds():
     config = dataclasses.replace(
-        default_config(env_from_coords(1, 0), seed=6, horizon=10),
+        GeneratorConfig(env_from_coords(1, 0), seed=6, horizon=10),
         service_shape=ServiceShape(vms_per_dc=(1, 1), lifetime=(3, 4)),
         horizontal_policy=HorizontalPolicy(p_scale=0.0, min_vms=2, max_vms=5),
     )
@@ -347,7 +346,7 @@ def test_a_walk_landing_on_zero_returns_the_canonical_zero():
 
 @pytest.mark.parametrize("coords", [(3, 3), (1, 0)])
 def test_the_fill_path_checks_each_quantity_once_and_builds_without_checking(monkeypatch, coords):
-    config = default_config(env_from_coords(*coords), seed=5, horizon=12)
+    config = GeneratorConfig(env_from_coords(*coords), seed=5, horizon=12)
     trace = generate(config)
     specs = {id(sample.spec) for sample in trace.samples}
     utils = {id(sample.util) for sample in trace.samples}
@@ -385,7 +384,7 @@ def test_the_fill_path_checks_each_quantity_once_and_builds_without_checking(mon
 
 
 def test_config_checks_reject_bad_fields():
-    base = default_config(env_from_coords(0, 0))
+    base = GeneratorConfig(env_from_coords(0, 0))
     bad_cases = [
         dict(horizon=0),
         dict(num_datacenters=0),
@@ -432,7 +431,7 @@ def test_config_checks_reject_bad_fields():
 
 def test_largest_quantity_ranges_generate_renderable_traces():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 1), seed=3, horizon=4),
+        GeneratorConfig(env_from_coords(0, 1), seed=3, horizon=4),
         sizing=SizingRanges(vcpu=(10**28 - 1, 10**28 - 1), revenue=(10**28 - 1, 10**28 - 1)),
         utilization_policy=UtilizationPolicy(cpu_step=(10**28 - 1, 10**28 - 1)),
     )
@@ -448,7 +447,7 @@ def test_an_infinite_magnitude_bound_is_a_config_error_naming_the_field():
     # without the check, generate fails at the first step with the per-VM
     # domain error instead
     config = dataclasses.replace(
-        default_config(env_from_coords(2, 0), seed=1),
+        GeneratorConfig(env_from_coords(2, 0), seed=1),
         vertical_policy=VerticalPolicy(p_step=0.25, magnitude=(0.0, float("inf"))),
     )
     message = r"^vertical_policy\.magnitude upper bound must be finite, got \(0\.0, inf\)$"
@@ -482,7 +481,7 @@ _NEAR_LIMIT = (10**28 - 1, 10**28 - 1)
     ],
 )
 def test_a_generated_quantity_leaving_the_domain_is_a_config_error(environment, replacements):
-    config = dataclasses.replace(default_config(env_from_coords(*environment), seed=3), **replacements)
+    config = dataclasses.replace(GeneratorConfig(env_from_coords(*environment), seed=3), **replacements)
     check_config(config)
     with pytest.raises(ConfigError, match=r"^VM \(\d+, \d+, \d+\) at t=\d+: a generated quantity leaves the quantity domain"):
         generate(config)
@@ -550,7 +549,7 @@ def test_every_accepted_config_generates_or_raises_a_package_error(config):
 
 def test_burst_arrivals_allow_rates_above_one():
     config = dataclasses.replace(
-        default_config(env_from_coords(0, 0), seed=8, horizon=6),
+        GeneratorConfig(env_from_coords(0, 0), seed=8, horizon=6),
         arrival=ArrivalModel(rate=3.0, force_first=True, burst=True),
     )
     check_config(config)
@@ -561,17 +560,17 @@ def test_burst_arrivals_allow_rates_above_one():
 
 def test_guarantee_feasibility_is_checked_up_front():
     cases = [
-        default_config(env_from_coords(1, 0), horizon=1, guarantee_dynamics=True),
+        GeneratorConfig(env_from_coords(1, 0), horizon=1, guarantee_dynamics=True),
         dataclasses.replace(
-            default_config(env_from_coords(1, 0), guarantee_dynamics=True),
+            GeneratorConfig(env_from_coords(1, 0), guarantee_dynamics=True),
             horizontal_policy=HorizontalPolicy(min_vms=2, max_vms=2),
         ),
         dataclasses.replace(
-            default_config(env_from_coords(0, 1), guarantee_dynamics=True),
+            GeneratorConfig(env_from_coords(0, 1), guarantee_dynamics=True),
             sizing=SizingRanges(vcpu=(0, 0), vram=(0, 0)),
         ),
         dataclasses.replace(
-            default_config(env_from_coords(0, 2), guarantee_dynamics=True),
+            GeneratorConfig(env_from_coords(0, 2), guarantee_dynamics=True),
             sizing=SizingRanges(vnet=(0, 0)),
         ),
     ]
@@ -579,22 +578,35 @@ def test_guarantee_feasibility_is_checked_up_front():
         with pytest.raises(ConfigError):
             check_config(config)
     # A static environment has nothing to guarantee, so a short horizon is fine.
-    check_config(default_config(env_from_coords(0, 0), horizon=1, guarantee_dynamics=True))
+    check_config(GeneratorConfig(env_from_coords(0, 0), horizon=1, guarantee_dynamics=True))
 
 
 def test_guarantee_injects_dynamics_even_with_inert_policies():
     for env in enumerate_environments():
         config = _inert(
-            default_config(env, seed=1, horizon=8, num_datacenters=2, guarantee_dynamics=True)
+            GeneratorConfig(env, seed=1, horizon=8, num_datacenters=2, guarantee_dynamics=True)
         )
         trace = generate(config)
         assert classify(trace) == env, f"environment {env} not realized"
         assert validate(trace, mode="strict").ok
 
 
+def test_guarantee_without_a_positive_request_fails_at_generation():
+    # check_config passes, as vram may draw 1; at seed 0 every VM draws 0
+    config = dataclasses.replace(
+        GeneratorConfig(env_from_coords(0, 1), seed=0, horizon=2, num_datacenters=1, guarantee_dynamics=True),
+        arrival=ArrivalModel(rate=0.0),
+        service_shape=ServiceShape(vms_per_dc=(1, 1), lifetime=(2, 2)),
+        sizing=SizingRanges(vcpu=(0, 0), vram=(0, 1)),
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        generate(config)
+    assert str(excinfo.value) == "guarantee_dynamics: no VM has a positive request to host a server overbooking instance"
+
+
 def test_guarantee_forces_an_arrival_at_tick_zero():
     config = dataclasses.replace(
-        default_config(env_from_coords(2, 0), seed=0, horizon=8, guarantee_dynamics=True),
+        GeneratorConfig(env_from_coords(2, 0), seed=0, horizon=8, guarantee_dynamics=True),
         arrival=ArrivalModel(rate=0.0, force_first=False),
     )
     trace = generate(config)
@@ -604,7 +616,7 @@ def test_guarantee_forces_an_arrival_at_tick_zero():
 
 def test_at_most_one_scale_action_per_service_per_tick():
     config = dataclasses.replace(
-        default_config(env_from_coords(1, 0), seed=3, horizon=30),
+        GeneratorConfig(env_from_coords(1, 0), seed=3, horizon=30),
         arrival=ArrivalModel(rate=0.5, force_first=True),
         horizontal_policy=HorizontalPolicy(p_scale=1.0, min_vms=1, max_vms=4),
     )
@@ -619,16 +631,16 @@ def test_at_most_one_scale_action_per_service_per_tick():
 @pytest.mark.parametrize(
     "config",
     [
-        default_config(env_from_coords(1, 0), seed=1, horizon=20),
-        default_config(env_from_coords(3, 3), seed=1, horizon=20),
+        GeneratorConfig(env_from_coords(1, 0), seed=1, horizon=20),
+        GeneratorConfig(env_from_coords(3, 3), seed=1, horizon=20),
         # no scale action is drawn, so the guarantee scales the first service out
         dataclasses.replace(
-            default_config(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
+            GeneratorConfig(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
             horizontal_policy=HorizontalPolicy(p_scale=0.0),
         ),
         # ... or, with datacenter 1 already at max_vms, in
         dataclasses.replace(
-            default_config(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
+            GeneratorConfig(env_from_coords(1, 0), seed=1, horizon=8, guarantee_dynamics=True),
             service_shape=ServiceShape(vms_per_dc=(2, 2)),
             horizontal_policy=HorizontalPolicy(p_scale=0.0, max_vms=2),
         ),
@@ -660,7 +672,7 @@ def test_vms_born_on_arrival_and_by_scale_out_share_the_stream_map(config):
 
 def test_vm_indices_are_never_reused_within_a_datacenter():
     config = dataclasses.replace(
-        default_config(env_from_coords(1, 0), seed=5, horizon=30),
+        GeneratorConfig(env_from_coords(1, 0), seed=5, horizon=30),
         horizontal_policy=HorizontalPolicy(p_scale=1.0, min_vms=1, max_vms=4),
     )
     trace = generate(config)
@@ -711,7 +723,7 @@ def test_config_from_dict_rejects_unknown_or_missing_keys():
 
 
 def test_config_digest_is_stable_and_content_sensitive():
-    config = default_config(env_from_coords(0, 0), seed=4)
+    config = GeneratorConfig(env_from_coords(0, 0), seed=4)
     digest = config_digest(config)
     assert len(digest) == 64
     assert digest == digest.lower()

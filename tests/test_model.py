@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vmptrace.environments import env_from_coords
 from vmptrace.errors import ValidationError
 from vmptrace.fixtures import FixtureId, fixture_trace
-from vmptrace.generator import config_from_dict, default_config, generate
+from vmptrace.generator import GeneratorConfig, config_from_dict, generate
 from vmptrace import model
 from vmptrace.model import (
     QUANTITY_LIMIT,
@@ -359,7 +359,7 @@ def _population_traces():
     traces = [fixture_trace(fixture) for fixture in FixtureId]
     for (elasticity, overbooking), seed in (((0, 0), 0), ((1, 0), 1), ((1, 3), 2), ((2, 1), 3), ((3, 3), 4)):
         env = env_from_coords(elasticity, overbooking)
-        traces.append(generate(default_config(env, seed=seed, horizon=15, num_datacenters=3, guarantee_dynamics=True)))
+        traces.append(generate(GeneratorConfig(env, seed=seed, horizon=15, num_datacenters=3, guarantee_dynamics=True)))
     for seed in (1, 2):
         burst = {
             "environment": [1, 0],

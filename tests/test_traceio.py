@@ -12,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from vmptrace import traceio
 from vmptrace.environments import env_from_coords
-from vmptrace.errors import FormatError, IntegrityError, ParseError, ValidationError, VmpTraceError
+from vmptrace.errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError, VmpTraceError
 from vmptrace.fixtures import FixtureId, fixture_trace
-from vmptrace.generator import VerticalPolicy, default_config, generate
+from vmptrace.generator import GeneratorConfig, VerticalPolicy, generate
 from vmptrace.model import (
     ResourceSpec,
     UtilizationSample,
@@ -73,9 +73,9 @@ def test_scale_events_serialize_with_their_vm_identity():
     import dataclasses
 
     config = dataclasses.replace(
-        default_config(env_from_coords(1, 0), seed=3, horizon=10),
+        GeneratorConfig(env_from_coords(1, 0), seed=3, horizon=10),
         horizontal_policy=dataclasses.replace(
-            default_config(env_from_coords(1, 0)).horizontal_policy, p_scale=1.0
+            GeneratorConfig(env_from_coords(1, 0)).horizontal_policy, p_scale=1.0
         ),
     )
     lines = _doc_lines(generate(config))
@@ -104,7 +104,7 @@ def test_fixture_round_trips_are_identities():
 
 def test_generated_trace_round_trips():
     trace = generate(
-        default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True)
+        GeneratorConfig(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True)
     )
     assert read_trace(trace_to_bytes(trace)) == trace
 
@@ -114,6 +114,46 @@ def test_read_accepts_text_sources_and_streams():
     raw = trace_to_bytes(trace)
     assert read_trace(raw.decode("utf-8")) == trace
     assert read_trace(io.BytesIO(raw)) == trace
+
+
+def test_writer_refuses_a_sample_of_an_unknown_vm():
+    trace = fixture_trace(FixtureId.ENV_0_1)
+    orphaned = dataclasses.replace(trace, descriptors=trace.descriptors[1:])
+    with pytest.raises(ValidationError, match=re.escape("sample references unknown VM (1, 1, 1)")):
+        trace_to_bytes(orphaned)
+
+
+def test_a_failing_sink_reports_the_byte_offset_reached():
+    class FailingSink:
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+
+    with pytest.raises(TraceIOError) as excinfo:
+        write_trace(fixture_trace(FixtureId.ENV_0_1), FailingSink())
+    assert str(excinfo.value).endswith("(at byte offset 164)")
+    assert excinfo.value.byte_offset == 164
+
+
+@pytest.mark.parametrize(
+    "index, old, new, message",
+    [
+        (0, '"horizon":6', '"horizon":-1', "line 1: horizon must be an integer >= 0, got -1"),
+        (0, '"environment":[0,1]', '"environment":[0,4]', "line 1: overbooking coordinate must be an integer in 0..3, got 4"),
+        (0, '"environment":[0,1]', '"environment":[0]', "line 1: environment must be a [elasticity, overbooking] pair, got [0]"),
+        (1, '"t":0', '"t":-1', "line 2: t must be an integer >= 0, got -1"),
+        (1, "", "", "line 2: blank line"),
+    ],
+)
+def test_an_out_of_range_header_or_event_field_is_a_located_parse_error(index, old, new, message):
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    lines[index] = lines[index].replace(old, new, 1) if old else new
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines(lines))
+    assert str(excinfo.value) == message
 
 
 def test_header_only_document():
@@ -166,7 +206,7 @@ def test_byte_order_mark_keeps_the_json_loads_message():
 
 def test_reader_reorders_shuffled_event_and_sample_lines():
     canonical = trace_to_bytes(
-        generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+        generate(GeneratorConfig(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
     )
     header, *body = canonical.decode("utf-8").splitlines()
     assert any('"type":"event"' in line for line in body)
@@ -332,7 +372,7 @@ def test_csv_export_lists_samples_in_canonical_order():
 
 def test_file_round_trip(tmp_path):
     assert FILE_EXTENSION == ".vmpt.jsonl"
-    trace = generate(default_config(env_from_coords(2, 1), seed=11, horizon=8))
+    trace = generate(GeneratorConfig(env_from_coords(2, 1), seed=11, horizon=8))
     path = tmp_path / ("example" + FILE_EXTENSION)
     write_trace_file(trace, path)
     assert read_trace_file(path) == trace
@@ -346,8 +386,43 @@ def test_dump_json_renders_decimals_and_preserves_order():
     assert json.loads(pretty) == {"b": 1.0, "a": 1, "nested": [2.5, "x", None, True]}
 
 
+# Decimal-free JSON values: there dump_json must spell what json.dumps spells
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(value=_JSON_VALUES, indent=st.sampled_from([None, 0, 2]))
+def test_dump_json_matches_json_dumps_without_decimals(value, indent):
+    separators = (",", ":") if indent is None else (",", ": ")
+    assert dump_json(value, indent) == json.dumps(value, indent=indent, separators=separators)
+
+
+@pytest.mark.parametrize("text", ["1E+2", "0.00", "-0"])
+def test_dump_json_renders_a_decimal_in_fixed_point(text):
+    value = Decimal(text)
+    assert dump_json([value], indent=2) == "[\n  " + format(value, "f") + "\n]"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"a": [], 1: 2}, "JSON object keys must be strings, got 1"),
+        ({"a": [1.5]}, "cannot serialize float to JSON"),
+    ],
+)
+def test_dump_json_refuses_what_it_cannot_spell(value, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        dump_json(value)
+
+
 def test_writers_render_each_distinct_quantity_once(monkeypatch):
-    trace = generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+    trace = generate(GeneratorConfig(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
     distinct = {
         quantity
         for sample in trace.samples
@@ -370,7 +445,7 @@ def test_writers_render_each_distinct_quantity_once(monkeypatch):
 
 
 def test_reader_checks_each_distinct_quantity_and_triple_once(monkeypatch):
-    trace = generate(default_config(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
+    trace = generate(GeneratorConfig(env_from_coords(3, 3), seed=5, horizon=12, guarantee_dynamics=True))
     document = trace_to_bytes(trace)
     rows = [
         json.loads(line, parse_int=str, parse_float=str)
@@ -434,7 +509,7 @@ PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_exampl
 @st.composite
 def _small_configs(draw, elasticity: int, overbooking: int):
     guarantee = draw(st.booleans())
-    config = default_config(
+    config = GeneratorConfig(
         env_from_coords(elasticity, overbooking),
         seed=draw(st.integers(0, 2**64 - 1)),
         horizon=draw(st.integers(2 if guarantee else 1, 8)),
@@ -565,7 +640,7 @@ _MUTATION_DOCUMENTS = [
     trace_to_bytes(fixture_trace(FixtureId.ENV_0_1)),
     _FIXTURE_DOCUMENT,
     trace_to_bytes(generate(dataclasses.replace(
-        default_config(env_from_coords(3, 3), seed=2, horizon=5, guarantee_dynamics=True),
+        GeneratorConfig(env_from_coords(3, 3), seed=2, horizon=5, guarantee_dynamics=True),
         vertical_policy=VerticalPolicy(p_step=0.5, precision=2),
     ))),
 ]
@@ -748,7 +823,7 @@ def _reference_outcome(document: bytes):
 _BODY_DOCUMENTS = [
     trace_to_bytes(fixture_trace(FixtureId.ENV_0_1)),
     _FIXTURE_DOCUMENT,
-    trace_to_bytes(generate(default_config(env_from_coords(1, 1), seed=3, horizon=6, guarantee_dynamics=True))),
+    trace_to_bytes(generate(GeneratorConfig(env_from_coords(1, 1), seed=3, horizon=6, guarantee_dynamics=True))),
     _MUTATION_DOCUMENTS[2],
 ]
 _REVENUES = ["0", "-0", "0.0", "-0.0", "5", "5.0", "7", "-3"]
