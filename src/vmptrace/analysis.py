@@ -25,6 +25,8 @@ those findings and witnesses, never a per-sample list. ``classify`` reads
 its capabilities off the witnesses. ``validate`` scans the samples for
 conformance only when a rule can fire: the declared environment lacks a
 capability that has a witness, or strict mode has an excess witness.
+Violations are slotted values, and within one report those with equal
+message texts share one string; object identity is not part of the API.
 
 All three entry points are read-only over the immutable trace and safe to
 call concurrently: two threads may both run the pass on a trace with none
@@ -39,7 +41,7 @@ from itertools import pairwise
 
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
 from .errors import IntegrityError, ValidationError
-from .model import EventKind, Trace, TraceEvent, VmDescriptor, VmSample, dc_population, quantity_text
+from .model import EventKind, Trace, TraceEvent, VmDescriptor, VmSample, _prechecked, dc_population, quantity_text
 from .traceio import _Shared
 
 MODE_STRICT = "strict"
@@ -59,7 +61,8 @@ RULE_NO_SERVER_OVERBOOKING = "env.no-server-overbooking"
 RULE_NO_NETWORK_OVERBOOKING = "env.no-network-overbooking"
 RULE_OVERBOOKING_BOUND = "env.overbooking-bound"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One rule violation with its location: either a (t, service, dc, vm)
     coordinate (unused parts omitted) or an index into the event list."""
@@ -116,8 +119,13 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+# a Violation from its seven fields in order, without the frozen __init__'s
+# object.__setattr__ per field
+_new_violation = _prechecked(Violation)
+
+
 def _vm_violation(rule: str, message: str, key: tuple[int, int, int], t: int | None) -> Violation:
-    return Violation(rule, message, t=t, service_id=key[0], dc_id=key[1], vm_index=key[2])
+    return _new_violation(rule, message, t, *key, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,18 +172,20 @@ def _with_previous(samples: tuple[VmSample, ...]):
 
 def _observe(trace: Trace) -> _Observation:
     out: list[Violation] = []
+    # one string per distinct message text, shared by the violations that repeat it
+    messages = _Shared(str)
     header = trace.header
     by_key = trace.descriptor_map()
 
     for desc in trace.descriptors:
         if desc.t_end > header.horizon:
-            message = f"VM lifetime ends at t={desc.t_end}, past horizon {header.horizon}"
+            message = messages[f"VM lifetime ends at t={desc.t_end}, past horizon {header.horizon}"]
             out.append(_vm_violation(RULE_HORIZON, message, desc.key, desc.t_end))
         if desc.dc_id > header.num_datacenters:
-            message = f"dc {desc.dc_id} exceeds num_datacenters {header.num_datacenters}"
+            message = messages[f"dc {desc.dc_id} exceeds num_datacenters {header.num_datacenters}"]
             out.append(_vm_violation(RULE_DC_RANGE, message, desc.key, None))
         if desc.sla > header.sla_levels:
-            message = f"sla {desc.sla} exceeds the header's highest level {header.sla_levels}"
+            message = messages[f"sla {desc.sla} exceeds the header's highest level {header.sla_levels}"]
             out.append(_vm_violation(RULE_SLA_RANGE, message, desc.key, None))
 
     # dynamics are witnessed on every sample, as conformance checks every
@@ -204,7 +214,7 @@ def _observe(trace: Trace) -> _Observation:
         elif desc.t_init <= sample.t < desc.t_end:
             covered += 1
         else:
-            message = f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})"
+            message = messages[f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})"]
             misplaced.append((index, _vm_violation(RULE_LIFETIME, message, key, sample.t)))
     # reported in the trace's own sample order, however they were visited
     misplaced.sort(key=lambda item: item[0])
@@ -220,18 +230,19 @@ def _observe(trace: Trace) -> _Observation:
                     out.append(_vm_violation(RULE_DENSE_SAMPLING, "missing sample for an alive tick", desc.key, t))
 
     spans = _service_spans(trace.descriptors)
-    _event_violations(trace, by_key, spans, out)
+    _event_violations(trace, by_key, spans, out, messages)
     horizontal = min(_membership_changes(trace.descriptors, spans), default=None)
     return _Observation(tuple(out), vertical, horizontal, server, network, server_excess, network_excess)
 
 
-def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, int]], out: list[Violation]) -> None:
+def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, int]], out: list[Violation], messages: _Shared) -> None:
     horizon = trace.header.horizon
     # event ticks by (kind, service id), or (kind, vm key) for scale events
     times: dict[tuple, list[int]] = {}
     for index, event in enumerate(trace.events):
         if event.t > horizon:
-            out.append(Violation(RULE_EVENT_CONSISTENCY, f"event at t={event.t} is past horizon {horizon}", event_index=index))
+            message = messages[f"event at t={event.t} is past horizon {horizon}"]
+            out.append(Violation(RULE_EVENT_CONSISTENCY, message, event_index=index))
         if event.kind.is_scale:
             subject, known, noun = (event.service_id, event.dc_id, event.vm_index), by_key, "VM"
         else:
@@ -239,7 +250,7 @@ def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, in
         if subject in known:
             times.setdefault((event.kind, subject), []).append(event.t)
         else:
-            message = f"{event.kind.value} references unknown {noun} {subject}"
+            message = messages[f"{event.kind.value} references unknown {noun} {subject}"]
             out.append(Violation(RULE_EVENT_CONSISTENCY, message, event_index=index))
 
     for service_id in sorted(spans):
@@ -266,10 +277,10 @@ def _event_violations(trace: Trace, by_key: dict, spans: dict[int, tuple[int, in
         ):
             ticks = times.get((kind, desc.key), [])
             if mid and ticks != [t]:
-                message = f"VM {verb} mid-lifetime at t={t} but its {name} events are at {ticks}"
+                message = messages[f"VM {verb} mid-lifetime at t={t} but its {name} events are at {ticks}"]
                 out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t))
             elif not mid and ticks:
-                message = f"VM {whole} must not have {name} events, got {ticks}"
+                message = messages[f"VM {whole} must not have {name} events, got {ticks}"]
                 out.append(_vm_violation(RULE_EVENT_CONSISTENCY, message, desc.key, t))
 
 
@@ -333,18 +344,20 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
     """Findings of the rules that can fire, each one gated on its witness:
     the full lists behind a witness are rebuilt here, never cached."""
     out: list[Violation] = []
+    # each distinct message text kept once, shared by the violations that repeat it
+    messages = _Shared(str)
 
     if not caps.vertical and seen.vertical is not None:
         changes = [s for _, _, previous, s in _with_previous(trace.samples) if previous is not None and spec_changed(previous, s)]
         # a stable sort: each VM's changes stay in tick order
         for sample in sorted(changes, key=lambda sample: sample.vm_key):
-            message = f"requested resources change at t={sample.t} but the environment has no vertical elasticity"
+            message = messages[f"requested resources change at t={sample.t} but the environment has no vertical elasticity"]
             out.append(_vm_violation(RULE_NO_VERTICAL, message, sample.vm_key, sample.t))
 
     if not caps.horizontal and seen.horizontal is not None:
         for _, t, leaves, key in sorted(_membership_changes(trace.descriptors, _service_spans(trace.descriptors))):
             verb = "leaves" if leaves else "joins"
-            message = f"VM {verb} its service mid-lifetime at t={t} but the environment has no horizontal elasticity"
+            message = messages[f"VM {verb} its service mid-lifetime at t={t} but the environment has no horizontal elasticity"]
             out.append(_vm_violation(RULE_NO_HORIZONTAL, message, key, t))
 
     # one pass over the samples; violations stay grouped by rule
@@ -369,23 +382,16 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
                 mismatches.append(f"ucpu {text[util.ucpu]} != vcpu {text[spec.vcpu]}")
             if util.uram != spec.vram:
                 mismatches.append(f"uram {text[util.uram]} != vram {text[spec.vram]}")
+            message = messages["server utilization must equal the request without server overbooking: " + ", ".join(mismatches)]
             server_out.append(
-                _vm_violation(
-                    RULE_NO_SERVER_OVERBOOKING,
-                    "server utilization must equal the request without server overbooking: " + ", ".join(mismatches),
-                    sample.vm_key,
-                    sample.t,
-                )
+                _new_violation(RULE_NO_SERVER_OVERBOOKING, message, sample.t, sample.service_id, sample.dc_id, sample.vm_index, None)
             )
         if check_network_equality and network_gap(sample):
+            message = messages[
+                f"network utilization must equal the request without network overbooking: unet {text[util.unet]} != vnet {text[spec.vnet]}"
+            ]
             network_out.append(
-                _vm_violation(
-                    RULE_NO_NETWORK_OVERBOOKING,
-                    f"network utilization must equal the request without network overbooking: "
-                    f"unet {text[util.unet]} != vnet {text[spec.vnet]}",
-                    sample.vm_key,
-                    sample.t,
-                )
+                _new_violation(RULE_NO_NETWORK_OVERBOOKING, message, sample.t, sample.service_id, sample.dc_id, sample.vm_index, None)
             )
         excesses = []
         if bound_server:
@@ -396,8 +402,9 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
         if bound_network and util.unet > spec.vnet:
             excesses.append(f"unet {text[util.unet]} > vnet {text[spec.vnet]}")
         if excesses:
+            message = messages["utilization exceeds the request: " + ", ".join(excesses)]
             bound_out.append(
-                _vm_violation(RULE_OVERBOOKING_BOUND, "utilization exceeds the request: " + ", ".join(excesses), sample.vm_key, sample.t)
+                _new_violation(RULE_OVERBOOKING_BOUND, message, sample.t, sample.service_id, sample.dc_id, sample.vm_index, None)
             )
     return out + server_out + network_out + bound_out
 

@@ -18,25 +18,33 @@ values ``quantity_text`` renders exactly; one outside it is a ParseError on
 its line, as is an integer literal too long for Python to convert or a line
 nested too deeply to decode.
 
-Reading is one pass in document order that checks each value once. A sample
-line spelled exactly as the writer spells it is read without JSON decoding:
-one pattern match yields its field texts, and each distinct quantity text
-and each distinct spec or utilization triple of a document is checked once,
-then built without checking again. Samples that repeat a value may therefore
-share one Decimal, ResourceSpec or UtilizationSample; object identity is not
-part of the API. Any other line, such as one spelling a quantity ``5.0`` or
-``-0``, or with reordered keys or whitespace, is decoded as JSON and checked
-field by field: it reads to the same values, each Decimal keeping its
-spelling, and fails with the same message. Samples are sorted only if their
+Writing renders one line at a time: write_trace hands each line to its sink
+as it is rendered, and trace_to_bytes renders and encodes blocks of lines,
+so neither holds a list of every line.
+
+Reading decodes the source, releases the source bytes, and then walks the
+text one line at a time, never holding a list of lines. It is one pass in
+document order that checks each value once. A sample line spelled exactly as
+the writer spells it is read without JSON decoding: one pattern match yields
+its field texts, and each distinct quantity text and each distinct spec or
+utilization triple of a document is checked once, then built without
+checking again. Samples that repeat a value may therefore share one Decimal,
+ResourceSpec or UtilizationSample; object identity is not part of the API.
+Any other line, such as one spelling a quantity ``5.0`` or ``-0``, or with
+reordered keys or whitespace, is decoded as JSON and checked field by field:
+it reads to the same values, each Decimal keeping its spelling, and fails
+with the same message. Samples are sorted only if their
 keys do not strictly increase, as a canonical document's do.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
+from collections.abc import Iterator
 from decimal import Decimal
-from itertools import islice
+from itertools import chain, islice, starmap
 from operator import attrgetter, le
 
 from .environments import env_from_coords
@@ -193,21 +201,30 @@ def _sample_rows(trace: Trace):
         )
 
 
-def trace_to_lines(trace: Trace) -> list[str]:
-    """Canonical document lines, without line terminators."""
+def trace_to_lines(trace: Trace) -> Iterator[str]:
+    """Canonical document lines, without line terminators: an iterator that
+    renders each line as it is asked for."""
     canonical = canonicalize(trace)
-    lines = [_header_line(canonical.header)]
-    lines.extend(_event_line(event) for event in canonical.events)
-    lines.extend(_SAMPLE_LINE.format(*row) for row in _sample_rows(canonical))
-    return lines
+    header = _header_line(canonical.header)
+    return chain((header,), map(_event_line, canonical.events), starmap(_SAMPLE_LINE.format, _sample_rows(canonical)))
+
+
+# lines rendered and encoded at a time by trace_to_bytes
+_BLOCK_LINES = 1024
 
 
 def trace_to_bytes(trace: Trace) -> bytes:
-    return "".join(line + "\n" for line in trace_to_lines(trace)).encode("utf-8")
+    lines = trace_to_lines(trace)
+    document = io.BytesIO()
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")
+        document.write("\n".join(block).encode("utf-8"))
+    return document.getvalue()
 
 
 def write_trace(trace: Trace, sink) -> int:
-    """Write the canonical document to a binary sink; returns bytes written."""
+    """Write the canonical document to a binary sink, one line per write,
+    each as it is rendered; returns bytes written."""
     written = 0
     for line in trace_to_lines(trace):
         data = (line + "\n").encode("utf-8")
@@ -343,26 +360,45 @@ def _parse_sample(obj: dict, line_number: int) -> tuple[VmSample, Decimal | int,
     return sample, revenue, sla
 
 
+_TEXT_OR_BYTES = (str, bytes, bytearray, memoryview)
+
+
 def _source_text(source) -> str:
-    if isinstance(source, bytes):
-        data = source
-    elif isinstance(source, str):
-        return source
-    else:
+    if not isinstance(source, _TEXT_OR_BYTES):
+        if not hasattr(source, "read"):
+            raise FormatError(f"cannot read a trace from {type(source).__name__}: expected bytes, text or a stream")
         try:
-            data = source.read()
+            source = source.read()
         except OSError as exc:
             raise TraceIOError(f"read failed: {exc}") from exc
-        if isinstance(data, str):
-            return data
+        if not isinstance(source, _TEXT_OR_BYTES):
+            raise FormatError(f"stream read gave {type(source).__name__}, expected bytes or text")
+    if isinstance(source, str):
+        return source
+    if isinstance(source, memoryview) and not source.c_contiguous:
+        source = source.tobytes()
     try:
-        return data.decode("utf-8")
+        return str(source, "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"document is not valid UTF-8: {exc}") from None
 
 
+def _lines(text: str):
+    """The lines ``text.split("\\n")`` gives, without a final empty one, one
+    at a time: no list of them is ever held."""
+    start = 0
+    end = text.find("\n")
+    while end >= 0:
+        yield text[start:end]
+        start = end + 1
+        end = text.find("\n", start)
+    if start < len(text):
+        yield text[start:]
+
+
 def read_trace(source) -> Trace:
-    """Parse a trace document from bytes, text, or a file-like object.
+    """Parse a trace document from bytes, a bytearray or memoryview, text,
+    or a file-like object.
 
     The header must be the first line; event and sample lines may follow in
     any order. Contradictions between samples and lifecycle events (samples
@@ -370,15 +406,16 @@ def read_trace(source) -> Trace:
     duplicate lifecycle events) raise IntegrityError.
     """
     text = _source_text(source)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    # the decoded text is all that is read from here on; the source's bytes
+    # are freed now if the caller holds them no longer
+    del source
+    lines = _lines(text)
+    first_line = next(lines, None)
+    if first_line is None:
         raise FormatError("empty document: expected a header line")
-
-    if lines[0] == "":
+    if first_line == "":
         raise ParseError("blank line", 1)
-    first = _load_line(lines[0], 1)
+    first = _load_line(first_line, 1)
     if first.get("type") != "header":
         raise FormatError(f"first line must be the header, got type {first.get('type')!r}")
     header = _parse_header(first, 1)
@@ -399,7 +436,7 @@ def read_trace(source) -> Trace:
     # key is checked against the set of keys seen
     previous: tuple = ()
     seen = None
-    for index, line in enumerate(islice(lines, 1, None), start=2):
+    for index, line in enumerate(lines, start=2):
         match = _scan_sample(line)
         if match is not None:
             t, service, dc, vm, spec_text, vcpu, vram, vnet, util_text, ucpu, uram, unet, revenue, sla = match.groups()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 import sys
 import threading
@@ -982,6 +983,45 @@ def test_the_broken_differential_cases_are_broken():
     assert not any(structural[name] for name in structural if name.startswith(("generated", "fixture", "join")))
     assert all(structural[name] for name in structural if not name.startswith(("generated", "fixture", "join", "reversed", "shuffled")))
     assert structural["reversed-duplicate-sample"]
+
+
+
+def test_violations_are_slotted_frozen_values():
+    violations = [
+        violation
+        for _, case in _DIFFERENTIAL_CASES
+        for violation in validate(case, MODE_STRICT, declared=env_from_coords(0, 0)).violations
+    ]
+    assert {v.event_index is None for v in violations} == {True, False}
+    for violation in violations:
+        assert not hasattr(violation, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            violation.message = "changed"
+        assert dataclasses.replace(violation) == violation
+        assert hash(dataclasses.replace(violation)) == hash(violation)
+        copied = pickle.loads(pickle.dumps(violation))
+        assert copied == violation and hash(copied) == hash(violation)
+        assert dataclasses.astuple(copied) == dataclasses.astuple(violation)
+
+
+def test_equal_messages_within_one_report_are_one_string():
+    audit = generate(GeneratorConfig(env_from_coords(3, 3), seed=1, horizon=40, guarantee_dynamics=True))
+    reports = [validate(audit, MODE_STRICT, declared=env_from_coords(0, 0))]
+    reports += [
+        validate(trace, mode, declared=declared)
+        for _, trace in _DIFFERENTIAL_CASES
+        for mode in (MODE_STRICT, MODE_PAPER)
+        for declared in (None, env_from_coords(0, 0))
+    ]
+    repeated = 0
+    for report in reports:
+        first: dict[str, str] = {}
+        for violation in report.violations:
+            assert first.setdefault(violation.message, violation.message) is violation.message
+        repeated += len(report.violations) - len(first)
+    # the audit report repeats some of its conformance messages
+    assert len(reports[0].violations) > len({v.message for v in reports[0].violations})
+    assert repeated > 0
 
 
 # --- the lattice law --------------------------------------------------------

@@ -138,6 +138,105 @@ def test_a_failing_sink_reports_the_byte_offset_reached():
     assert excinfo.value.byte_offset == 164
 
 
+def test_read_accepts_bytearray_and_memoryview_sources():
+    trace = fixture_trace(FixtureId.ENV_1_0)
+    raw = trace_to_bytes(trace)
+    assert read_trace(bytearray(raw)) == trace
+    assert read_trace(memoryview(raw)) == trace
+    # a strided view is read as the bytes it shows
+    assert read_trace(memoryview(bytes(byte for pair in zip(raw, raw) for byte in pair))[::2]) == trace
+    with pytest.raises(FormatError, match="not valid UTF-8"):
+        read_trace(memoryview(b"\xff" + raw))
+
+
+@pytest.mark.parametrize("source, name", [(123, "int"), (None, "NoneType"), ([b"{}"], "list")])
+def test_a_source_that_is_not_bytes_text_or_a_stream_is_a_format_error_naming_its_type(source, name):
+    with pytest.raises(FormatError) as excinfo:
+        read_trace(source)
+    assert str(excinfo.value) == f"cannot read a trace from {name}: expected bytes, text or a stream"
+
+
+def test_a_stream_that_reads_neither_bytes_nor_text_is_a_format_error():
+    class Odd:
+        def read(self):
+            return 42
+
+    with pytest.raises(FormatError, match="stream read gave int, expected bytes or text"):
+        read_trace(Odd())
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.text(alphabet=["\n", "\r", "a", "\u00e9"], max_size=30))
+def test_the_reader_walks_the_lines_split_gives(text):
+    expected = text.split("\n")
+    if expected[-1] == "":
+        expected.pop()
+    assert list(traceio._lines(text)) == expected
+
+
+@pytest.mark.parametrize(
+    "document, error, message",
+    [
+        ("", FormatError, "empty document: expected a header line"),
+        ("\n", ParseError, "line 1: blank line"),
+        ("\n\n", ParseError, "line 1: blank line"),
+    ],
+)
+def test_an_empty_or_blank_document_is_refused_as_before(document, error, message):
+    with pytest.raises(error) as excinfo:
+        read_trace(document)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_a_header_without_a_final_newline_reads():
+    header = TraceHeader(env_from_coords(0, 0), horizon=3, num_datacenters=1)
+    document = trace_to_bytes(Trace(header, (), (), ()))
+    assert read_trace(document.rstrip(b"\n")) == read_trace(document)
+    # and a last body line without one
+    full = trace_to_bytes(fixture_trace(FixtureId.ENV_0_1))
+    assert read_trace(full.rstrip(b"\n")) == read_trace(full)
+
+
+def test_a_blank_last_body_line_is_located():
+    lines = _doc_lines(fixture_trace(FixtureId.ENV_0_1))
+    with pytest.raises(ParseError) as excinfo:
+        read_trace(_doc_from_lines([*lines, ""]))
+    assert str(excinfo.value) == f"line {len(lines) + 1}: blank line"
+    assert excinfo.value.line_number == len(lines) + 1
+
+
+class _SinkFailingAt:
+    """A binary sink whose ``fail_at``-th write raises OSError."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.writes, self.data = fail_at, 0, bytearray()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("disk full")
+        self.data += data
+
+
+def test_a_streamed_write_reports_the_bytes_already_written():
+    trace = generate(GeneratorConfig(env_from_coords(1, 3), seed=3, horizon=400, guarantee_dynamics=True))
+    document = trace_to_bytes(trace)
+    events, samples = len(trace.events), len(trace.samples)
+    assert events >= 2 and samples > traceio._BLOCK_LINES + 10
+    complete = _SinkFailingAt(None)
+    assert write_trace(trace, complete) == len(document)
+    assert bytes(complete.data) == document
+    # the header line, an event line, and a sample line past the first block
+    for fail_at in (1, 2, 1 + events, 2 + events + traceio._BLOCK_LINES + 5):
+        sink = _SinkFailingAt(fail_at)
+        with pytest.raises(TraceIOError) as excinfo:
+            write_trace(trace, sink)
+        written = b"".join(line + b"\n" for line in document.split(b"\n")[: fail_at - 1])
+        assert bytes(sink.data) == written
+        assert excinfo.value.byte_offset == len(written)
+        assert str(excinfo.value) == f"write failed: disk full (at byte offset {len(written)})"
+
+
 @pytest.mark.parametrize(
     "index, old, new, message",
     [
