@@ -67,7 +67,6 @@ from .model import (
     dc_population,
     full_utilization,
     quantity_text,
-    service_vm_count,
 )
 from .traceio import (
     FILE_EXTENSION,
@@ -136,7 +135,6 @@ __all__ = [
     "quantity_text",
     "read_trace",
     "read_trace_file",
-    "service_vm_count",
     "stats",
     "trace_to_bytes",
     "trace_to_csv_text",

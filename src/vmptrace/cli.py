@@ -11,11 +11,13 @@ command never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
 import traceback
+from functools import partial
 
 from .analysis import MODE_PAPER, MODE_STRICT, classify, stats, validate
 from .environments import EnvironmentId, enumerate_environments, env_from_coords
@@ -28,7 +30,7 @@ from .errors import (
 )
 from .fixtures import FixtureId, fixture_trace
 from .generator import config_from_dict, generate
-from .traceio import dump_json, read_trace, read_trace_file, trace_to_bytes, trace_to_csv_text
+from .traceio import dump_json, read_trace, read_trace_file, trace_to_csv_text, write_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,9 +61,10 @@ def _read_input(path: str):
     return read_trace_file(path)
 
 
-def _emit_bytes(path: str, data: bytes) -> None:
+def _emit(path: str, write) -> None:
+    """Call ``write`` with a binary sink: stdout for "-", else a temporary sibling renamed into place."""
     if path == "-":
-        sys.stdout.buffer.write(data)
+        write(sys.stdout.buffer)
         sys.stdout.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
@@ -71,14 +74,14 @@ def _emit_bytes(path: str, data: bytes) -> None:
         raise TraceIOError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "wb") as sink:
-            sink.write(data)
+            write(sink)
         os.replace(tmp_path, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+    except (OSError, TraceIOError) as exc:
         raise TraceIOError(f"cannot write {path}: {exc}") from exc
+    finally:
+        # gone already once renamed into place
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
 
 
 def handle_generate(args: argparse.Namespace) -> int:
@@ -103,24 +106,17 @@ def handle_generate(args: argparse.Namespace) -> int:
         data = {}
     if args.env is not None:
         data["environment"] = [args.env.elasticity, args.env.overbooking]
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.horizon is not None:
-        data["horizon"] = args.horizon
-    if args.dcs is not None:
-        data["num_datacenters"] = args.dcs
-    if args.guarantee_dynamics is not None:
-        data["guarantee_dynamics"] = args.guarantee_dynamics
+    for key in ("seed", "horizon", "num_datacenters", "guarantee_dynamics"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     if "environment" not in data:
         raise ConfigError("--env is required when no config file sets the environment")
-    config = config_from_dict(data)
-    _emit_bytes(args.out, trace_to_bytes(generate(config)))
+    _emit(args.out, partial(write_trace, generate(config_from_dict(data))))
     return EXIT_OK
 
 
 def handle_fixture(args: argparse.Namespace) -> int:
-    trace = fixture_trace(FixtureId(args.id))
-    _emit_bytes(args.out, trace_to_bytes(trace))
+    _emit(args.out, partial(write_trace, fixture_trace(FixtureId(args.id))))
     return EXIT_OK
 
 
@@ -147,12 +143,13 @@ def handle_stats(args: argparse.Namespace) -> int:
         text = dump_json(series.to_json_dict(), indent=2) + "\n"
     else:
         text = series.render_table()
-    _emit_bytes(args.out, text.encode("utf-8"))
+    _emit(args.out, lambda sink: sink.write(text.encode("utf-8")))
     return EXIT_OK
 
 
 def handle_convert(args: argparse.Namespace) -> int:
-    _emit_bytes(args.out, trace_to_csv_text(_read_input(args.infile)).encode("utf-8"))
+    text = trace_to_csv_text(_read_input(args.infile))
+    _emit(args.out, lambda sink: sink.write(text.encode("utf-8")))
     return EXIT_OK
 
 
@@ -173,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--env", type=_env_argument, default=None, help="environment coordinates E,O")
     p_generate.add_argument("--seed", type=int, default=None, help="64-bit unsigned generator seed")
     p_generate.add_argument("--horizon", type=int, default=None, help="number of ticks")
-    p_generate.add_argument("--dcs", type=int, default=None, help="number of datacenters")
+    p_generate.add_argument("--dcs", dest="num_datacenters", type=int, default=None, help="number of datacenters")
     p_generate.add_argument("--config", default=None, help="JSON configuration file; flags override it")
     p_generate.add_argument(
         "--guarantee-dynamics",

@@ -306,10 +306,10 @@ class Trace:
     represented and reported on. Instances are immutable and safe to share
     across threads.
 
-    The population index behind ``dc_population`` and ``service_vm_count``
-    is built on first use and cached on the instance, so it lives exactly as
-    long as the trace does. The analysis layer caches its observation pass
-    on the instance in the same way.
+    The population index serves ``dc_population`` only. It is built on first
+    use and cached on the instance, so it lives exactly as long as the trace
+    does. The analysis layer caches its observation pass on the instance in
+    the same way.
     """
 
     header: TraceHeader
@@ -354,25 +354,9 @@ def dc_population(trace: Trace, dc_id: int, t: int) -> list[tuple[int, int]]:
     A datacenter with no alive VMs (or an id the trace never uses) yields an
     empty list. Ticks outside ``[0, horizon)`` are a caller error.
     """
-    _check_population_tick(trace, t)
+    if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < trace.header.horizon:
+        raise ValidationError(f"tick {t!r} out of range [0, {trace.header.horizon}) for this trace")
     ticks = trace._population.get(dc_id)
     if ticks is None:
         return []
     return [(desc.service_id, desc.vm_index) for desc in ticks[t]]
-
-
-def service_vm_count(trace: Trace, service_id: int, t: int) -> int:
-    """Number of VMs a service keeps across all datacenters at one tick.
-
-    Unknown services count zero. Ticks outside ``[0, horizon)`` are a caller
-    error.
-    """
-    _check_population_tick(trace, t)
-    return sum(1 for ticks in trace._population.values() for desc in ticks[t] if desc.service_id == service_id)
-
-
-def _check_population_tick(trace: Trace, t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < trace.header.horizon:
-        raise ValidationError(
-            f"tick {t!r} out of range [0, {trace.header.horizon}) for this trace"
-        )

