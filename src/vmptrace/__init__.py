@@ -71,7 +71,6 @@ from .model import (
 from .traceio import (
     FILE_EXTENSION,
     FORMAT_VERSION,
-    canonicalize,
     read_trace,
     read_trace_file,
     trace_to_bytes,
@@ -116,7 +115,6 @@ __all__ = [
     "VmDescriptor",
     "VmSample",
     "VmpTraceError",
-    "canonicalize",
     "capabilities",
     "classify",
     "config_digest",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation, localcontext
-from itertools import pairwise
 
 from .environments import Capabilities, EnvironmentId, capabilities, env_from_capabilities
 from .errors import IntegrityError, ValidationError
@@ -155,18 +154,12 @@ def _observation(trace: Trace) -> _Observation:
 
 
 def _with_previous(samples: tuple[VmSample, ...]):
-    """``(index, vm key, previous, sample)`` for every sample in tick order,
-    where ``previous`` is the same VM's sample just before it in that order, or
-    None. Samples out of tick order, as a hand-built trace may hold them, are
-    visited in a stable sort by tick, which keeps same-tick samples, and so
-    duplicates, in their given order."""
-    order = enumerate(samples)
-    if any(earlier.t > later.t for earlier, later in pairwise(samples)):
-        order = sorted(order, key=lambda item: item[1].t)
+    """``(vm key, previous, sample)`` for every sample, in the trace's tick
+    order; ``previous`` is the same VM's sample just before it, or None."""
     last: dict[tuple[int, int, int], VmSample] = {}
-    for index, sample in order:
+    for sample in samples:
         key = (sample.service_id, sample.dc_id, sample.vm_index)
-        yield index, key, last.get(key), sample
+        yield key, last.get(key), sample
         last[key] = sample
 
 
@@ -192,9 +185,8 @@ def _observe(trace: Trace) -> _Observation:
     # sample; in tick order a known VM's sample repeats a tick exactly when
     # its previous sample is at that tick
     vertical = server = network = server_excess = network_excess = None
-    misplaced: list[tuple[int, Violation]] = []
     covered = 0
-    for index, key, previous, sample in _with_previous(trace.samples):
+    for key, previous, sample in _with_previous(trace.samples):
         spec, util = sample.spec, sample.util
         if vertical is None and previous is not None and spec_changed(previous, sample):
             vertical = sample
@@ -208,17 +200,14 @@ def _observe(trace: Trace) -> _Observation:
             network_excess = sample
         desc = by_key.get(key)
         if desc is None:
-            misplaced.append((index, _vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", key, sample.t)))
+            out.append(_vm_violation(RULE_UNKNOWN_VM, "sample references no known VM", key, sample.t))
         elif previous is not None and previous.t == sample.t:
-            misplaced.append((index, _vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", key, sample.t)))
+            out.append(_vm_violation(RULE_DUPLICATE_SAMPLE, "duplicate sample", key, sample.t))
         elif desc.t_init <= sample.t < desc.t_end:
             covered += 1
         else:
             message = messages[f"sample outside the VM's lifetime [{desc.t_init}, {desc.t_end})"]
-            misplaced.append((index, _vm_violation(RULE_LIFETIME, message, key, sample.t)))
-    # reported in the trace's own sample order, however they were visited
-    misplaced.sort(key=lambda item: item[0])
-    out.extend(violation for _, violation in misplaced)
+            out.append(_vm_violation(RULE_LIFETIME, message, key, sample.t))
 
     # each covered sample is a distinct alive (tick, VM); look for the
     # missing ones only when they do not fill every lifetime
@@ -348,7 +337,7 @@ def _conformance_violations(trace: Trace, seen: _Observation, caps: Capabilities
     messages = _Shared(str)
 
     if not caps.vertical and seen.vertical is not None:
-        changes = [s for _, _, previous, s in _with_previous(trace.samples) if previous is not None and spec_changed(previous, s)]
+        changes = [s for _, previous, s in _with_previous(trace.samples) if previous is not None and spec_changed(previous, s)]
         # a stable sort: each VM's changes stay in tick order
         for sample in sorted(changes, key=lambda sample: sample.vm_key):
             message = messages[f"requested resources change at t={sample.t} but the environment has no vertical elasticity"]

@@ -148,7 +148,6 @@ def fixture_trace(fixture: FixtureId) -> Trace:
                     ),
                 )
             )
-    samples.sort(key=lambda s: s.sort_key)
     header = TraceHeader(
         environment=env,
         horizon=_HORIZON,

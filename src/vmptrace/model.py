@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
+from itertools import pairwise, starmap
+from operator import attrgetter, le, lt
 
 from .environments import EnvironmentId
 from .errors import ValidationError
@@ -296,12 +298,27 @@ class TraceHeader:
                 raise ValidationError("config_digest must be a 64-character lowercase hex string")
 
 
+# the canonical sort keys: VmDescriptor.key, TraceEvent.sort_key and VmSample.sort_key
+_descriptor_key = attrgetter("service_id", "dc_id", "vm_index")
+_event_key = attrgetter("sort_key")
+_sample_key = attrgetter("t", "service_id", "dc_id", "vm_index")
+
+
+def _canonical(items, key, before) -> tuple:
+    """The items as a tuple, stably sorted by key unless each key stands ``before`` the next."""
+    items = tuple(items)
+    return items if all(starmap(before, pairwise(map(key, items)))) else tuple(sorted(items, key=key))
+
+
 @dataclass(frozen=True)
 class Trace:
     """A full workload trace: header, VM descriptors, events, samples.
 
     Construction checks local invariants (field ranges, unique VM identities)
-    but not cross-object structure; deep structural checks such as dense
+    and holds each part in canonical order: descriptors by VM key, events by
+    (t, kind, service, dc, vm), samples by (t, service, dc, vm). A part given out
+    of order is stored stably sorted, so equal-keyed samples keep their order.
+    It does not check cross-object structure; deep structural checks such as dense
     sampling live in the analysis layer so that broken documents can still be
     represented and reported on. Instances are immutable and safe to share
     across threads.
@@ -318,15 +335,16 @@ class Trace:
     samples: tuple[VmSample, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "descriptors", tuple(self.descriptors))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "samples", tuple(self.samples))
-        seen: set[tuple[int, int, int]] = set()
-        for desc in self.descriptors:
-            key = desc.key
-            if key in seen:
-                raise ValidationError(f"duplicate VM identity {key}")
-            seen.add(key)
+        # strictly increasing keys are unique ones; sorted, duplicates stand side by side
+        given = tuple(self.descriptors)
+        descriptors = _canonical(given, _descriptor_key, lt)
+        if descriptors is not given:
+            for key, following in pairwise(map(_descriptor_key, descriptors)):
+                if key == following:
+                    raise ValidationError(f"duplicate VM identity {key}")
+        object.__setattr__(self, "descriptors", descriptors)
+        object.__setattr__(self, "events", _canonical(self.events, _event_key, le))
+        object.__setattr__(self, "samples", _canonical(self.samples, _sample_key, le))
 
     def descriptor_map(self) -> dict[tuple[int, int, int], VmDescriptor]:
         return {desc.key: desc for desc in self.descriptors}
@@ -334,12 +352,10 @@ class Trace:
     @cached_property
     def _population(self) -> dict[int, list[tuple[VmDescriptor, ...]]]:
         """Per datacenter, one entry per tick of the horizon: the descriptors
-        alive there, in (service_id, vm_index) order. Descriptors are sorted
-        here rather than assumed canonical, since a hand-built trace need not
-        be; ticks past the horizon are dropped."""
+        alive there, in the trace's (service_id, vm_index) order; ticks past the horizon are dropped."""
         horizon = self.header.horizon
         buckets: dict[int, list[list[VmDescriptor]]] = {}
-        for desc in sorted(self.descriptors, key=lambda d: (d.service_id, d.vm_index)):
+        for desc in self.descriptors:
             ticks = buckets.get(desc.dc_id)
             if ticks is None:
                 ticks = buckets[desc.dc_id] = [[] for _ in range(horizon)]

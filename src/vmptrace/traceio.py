@@ -3,11 +3,11 @@
 A trace document is UTF-8 text, one JSON object per line, LF-terminated:
 first exactly one header line, then event lines, then sample lines, each
 tagged with a ``"type"`` discriminator. Writing always emits the canonical
-form: fixed key order, compact separators, events sorted by (t, kind,
-service, dc, vm), samples by (t, service, dc, vm), and every number in its
-shortest exact decimal spelling. Reading is tolerant of event/sample line
-order and canonicalizes, so write(read(d)) == d for canonical documents and
-read(write(x)) == x for every valid trace.
+form: fixed key order, compact separators, events and samples in the order a
+``Trace`` holds them (events by (t, kind, service, dc, vm), samples by (t,
+service, dc, vm)), and every number in its shortest exact decimal spelling.
+Reading is tolerant of event/sample line order, so write(read(d)) == d for
+canonical documents and read(write(x)) == x for every valid trace.
 
 Sample lines carry each VM's revenue and SLA level; descriptors are
 reconstructed from the sample extent cross-checked against the lifecycle
@@ -19,8 +19,8 @@ its line, as is an integer literal too long for Python to convert or a line
 nested too deeply to decode.
 
 Writing renders one line at a time: write_trace hands each line to its sink
-as it is rendered, and trace_to_bytes renders and encodes blocks of lines,
-so neither holds a list of every line.
+as it is rendered, and trace_to_bytes and trace_to_csv_text join blocks of
+lines, so none of them holds a list of every line.
 
 Reading decodes the source, releases the source bytes, and then walks the
 text one line at a time, never holding a list of lines. It is one pass in
@@ -33,8 +33,7 @@ ResourceSpec or UtilizationSample; object identity is not part of the API.
 Any other line, such as one spelling a quantity ``5.0`` or ``-0``, or with
 reordered keys or whitespace, is decoded as JSON and checked field by field:
 it reads to the same values, each Decimal keeping its spelling, and fails
-with the same message. Samples are sorted only if their
-keys do not strictly increase, as a canonical document's do.
+with the same message.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import re
 from collections.abc import Iterator
 from decimal import Decimal
 from itertools import chain, islice, starmap
-from operator import attrgetter, le
 
 from .environments import env_from_coords
 from .errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError
@@ -104,34 +102,6 @@ _scan_sample = re.compile(
 _DECODER = json.JSONDecoder(parse_float=Decimal)
 
 
-# the sort keys of VmDescriptor.key, TraceEvent.sort_key and VmSample.sort_key
-_descriptor_key = attrgetter("service_id", "dc_id", "vm_index")
-_event_key = attrgetter("sort_key")
-_sample_key = attrgetter("t", "service_id", "dc_id", "vm_index")
-
-
-def canonicalize(trace: Trace) -> Trace:
-    """Sort descriptors, events and samples into canonical order (stable for
-    equal keys). A trace already in canonical order is returned as is."""
-    if (
-        _in_order(trace.descriptors, _descriptor_key)
-        and _in_order(trace.events, _event_key)
-        and _in_order(trace.samples, _sample_key)
-    ):
-        return trace
-    return Trace(
-        header=trace.header,
-        descriptors=tuple(sorted(trace.descriptors, key=_descriptor_key)),
-        events=tuple(sorted(trace.events, key=_event_key)),
-        samples=tuple(sorted(trace.samples, key=_sample_key)),
-    )
-
-
-def _in_order(items, key) -> bool:
-    keys = list(map(key, items))
-    return all(map(le, keys, islice(keys, 1, None)))
-
-
 def _object_line(keys, texts) -> str:
     """A JSON object line of the keys in order, each with its value's JSON text; None leaves a key out."""
     return "{" + ",".join(f'"{key}":{text}' for key, text in zip(keys, texts) if text is not None) + "}"
@@ -162,16 +132,17 @@ class _Shared(dict):
 
 def _sample_rows(trace: Trace):
     """Each sample's fields rendered as text, in CSV_COLUMNS order; revenue
-    and SLA level come from the sample's descriptor, rendered once per VM."""
+    and SLA level come from the sample's descriptor."""
     # rendered once per distinct quantity: exact because the text depends only
     # on the value, and equal Decimals share a key (5 and 5.0 both render
     # "5"). The one exception, -0, is never held by the model, whose
     # quantities go through as_quantity.
     texts = _Shared(quantity_text)
-    vm_texts = {desc.key: (texts[desc.revenue], str(desc.sla)) for desc in trace.descriptors}
+    sla_texts = _Shared(str)
+    by_key = trace.descriptor_map()
     for sample in trace.samples:
-        vm_text = vm_texts.get(sample.vm_key)
-        if vm_text is None:
+        desc = by_key.get(sample.vm_key)
+        if desc is None:
             raise ValidationError(f"sample references unknown VM {sample.vm_key}")
         spec, util = sample.spec, sample.util
         yield (
@@ -185,29 +156,32 @@ def _sample_rows(trace: Trace):
             texts[util.ucpu],
             texts[util.uram],
             texts[util.unet],
-            vm_text[0],
-            vm_text[1],
+            texts[desc.revenue],
+            sla_texts[desc.sla],
         )
 
 
 def trace_to_lines(trace: Trace) -> Iterator[str]:
     """Canonical document lines, without line terminators: an iterator that
     renders each line as it is asked for."""
-    canonical = canonicalize(trace)
-    header = _header_line(canonical.header)
-    return chain((header,), map(_event_line, canonical.events), starmap(_SAMPLE_LINE.format, _sample_rows(canonical)))
+    header = _header_line(trace.header)
+    return chain((header,), map(_event_line, trace.events), starmap(_SAMPLE_LINE.format, _sample_rows(trace)))
 
 
-# lines rendered and encoded at a time by trace_to_bytes
+# lines rendered and joined at a time by trace_to_bytes and trace_to_csv_text
 _BLOCK_LINES = 1024
 
 
-def trace_to_bytes(trace: Trace) -> bytes:
-    lines = trace_to_lines(trace)
-    document = io.BytesIO()
+def _blocks(lines) -> Iterator[str]:
+    """The lines joined into LF-terminated blocks of ``_BLOCK_LINES`` lines."""
     while block := list(islice(lines, _BLOCK_LINES)):
         block.append("")
-        document.write("\n".join(block).encode("utf-8"))
+        yield "\n".join(block)
+
+
+def trace_to_bytes(trace: Trace) -> bytes:
+    document = io.BytesIO()
+    document.writelines(block.encode("utf-8") for block in _blocks(trace_to_lines(trace)))
     return document.getvalue()
 
 
@@ -463,7 +437,7 @@ def read_trace(source) -> Trace:
             previous = key
         else:
             if seen is None:
-                seen = set(map(_sample_key, samples))
+                seen = {sample.sort_key for sample in samples}
             if key in seen:
                 raise IntegrityError(f"duplicate sample for VM {sample.vm_key} at t={t} (line {index})")
             seen.add(key)
@@ -489,11 +463,6 @@ def read_trace(source) -> Trace:
     # here, they make room for the descriptors instead of adding to the peak
     del text, lines, quantities, specs, utils
     descriptors = _reconstruct_descriptors(events, vms, conflicts)
-    # built once, in canonical order: descriptors come out in key order, and
-    # samples are sorted only when their keys did not strictly increase
-    events.sort(key=_event_key)
-    if seen is not None:
-        samples.sort(key=_sample_key)
     return Trace(header=header, descriptors=tuple(descriptors), events=tuple(events), samples=tuple(samples))
 
 
@@ -564,9 +533,7 @@ def read_trace_file(path) -> Trace:
 def trace_to_csv_text(trace: Trace) -> str:
     """Lossy spreadsheet export: canonical sample rows only, no header or
     event information."""
-    rows = [",".join(CSV_COLUMNS)]
-    rows.extend(",".join(row) for row in _sample_rows(canonicalize(trace)))
-    return "\n".join(rows) + "\n"
+    return "".join(_blocks(chain((",".join(CSV_COLUMNS),), map(",".join, _sample_rows(trace)))))
 
 
 def dump_json(value, indent: int | None = None) -> str:

@@ -1,6 +1,7 @@
-"""Peak memory of the writer, the reader and the conformance report, measured
-with tracemalloc on the benchmark's full-size workloads at seed 1 and held to
-bounds relative to what each produces."""
+"""Peak memory of construction, the writer, the CSV export, the reader and
+the conformance report, measured with tracemalloc on the benchmark's
+full-size workloads at seed 1 and held to bounds relative to what each
+produces."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import pytest
 from vmptrace.analysis import MODE_STRICT, validate
 from vmptrace.environments import env_from_coords
 from vmptrace.generator import config_from_dict, generate
-from vmptrace.traceio import read_trace, trace_to_bytes, write_trace
+from vmptrace.model import Trace
+from vmptrace.traceio import read_trace, trace_to_bytes, trace_to_csv_text, write_trace
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -56,6 +58,20 @@ def test_trace_to_bytes_holds_no_list_of_every_line(generated):
     rendered, peak, _ = _traced(lambda: trace_to_bytes(trace))
     assert rendered == document
     assert peak <= 2.5 * len(document)
+
+
+def test_construction_from_parts_in_order_holds_no_list_of_keys(generated):
+    trace, document = generated
+    built, peak, _ = _traced(lambda: Trace(trace.header, trace.descriptors, trace.events, trace.samples))
+    assert built == trace
+    assert peak <= 0.05 * len(document)
+
+
+def test_trace_to_csv_text_holds_no_list_of_every_row(generated):
+    trace, document = generated
+    text, peak, _ = _traced(lambda: trace_to_csv_text(trace))
+    assert text.count("\n") == len(trace.samples) + 1
+    assert peak <= 1.0 * len(document)
 
 
 def test_read_trace_holds_one_line_at_a_time(generated):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import enum
 import pickle
 from decimal import Decimal
@@ -307,6 +308,34 @@ def test_trace_rejects_duplicate_descriptor_identities():
     clash = VmDescriptor(1, 1, 1, revenue=5, sla=1, t_init=0, t_end=3)
     with pytest.raises(ValidationError):
         Trace(header, (first, clash), (), ())
+
+
+def test_duplicate_identity_errors_name_the_smallest_duplicated_key():
+    header = TraceHeader(env_from_coords(0, 0), horizon=4, num_datacenters=2)
+
+    def vm(service_id, dc_id, vm_index):
+        return VmDescriptor(service_id, dc_id, vm_index, revenue=0, sla=1, t_init=0, t_end=2)
+
+    cases = {
+        # one duplicated key, given in order and out of order
+        "(1, 1, 1)": (vm(1, 1, 1), vm(1, 1, 1)),
+        "(2, 1, 1)": (vm(2, 1, 1), vm(1, 1, 1), vm(2, 1, 1)),
+        # two duplicated keys
+        "(1, 2, 1)": (vm(3, 1, 1), vm(1, 2, 1), vm(3, 1, 1), vm(1, 2, 1)),
+    }
+    for key, descriptors in cases.items():
+        with pytest.raises(ValidationError) as excinfo:
+            Trace(header, descriptors, (), ())
+        assert str(excinfo.value) == f"duplicate VM identity {key}"
+
+
+def test_equal_keyed_samples_keep_their_given_order():
+    trace = fixture_trace(FixtureId.ENV_1_0)
+    first, later = trace.samples[0], trace.samples[1:]
+    twin = dataclasses.replace(first, spec=ResourceSpec(first.spec.vcpu + 1, first.spec.vram, first.spec.vnet))
+    for pair in ((first, twin), (twin, first)):
+        built = Trace(trace.header, trace.descriptors, trace.events, (*reversed(later), *pair))
+        assert built.samples == (*pair, *later)
 
 
 def test_dc_population_on_the_horizontal_example():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vmptrace import traceio
-from vmptrace.environments import env_from_coords
+from vmptrace.analysis import MODE_PAPER, MODE_STRICT, classify, validate
+from vmptrace.environments import enumerate_environments, env_from_coords
 from vmptrace.errors import FormatError, IntegrityError, ParseError, TraceIOError, ValidationError, VmpTraceError
 from vmptrace.fixtures import FixtureId, fixture_trace
 from vmptrace.generator import GeneratorConfig, VerticalPolicy, generate
@@ -30,7 +31,6 @@ from vmptrace.model import (
 from vmptrace.traceio import (
     CSV_COLUMNS,
     FILE_EXTENSION,
-    canonicalize,
     dump_json,
     read_trace,
     read_trace_file,
@@ -481,25 +481,6 @@ def test_repeated_scale_out_for_one_vm_is_rejected():
         read_trace(_doc_from_lines(lines[:1] + [extra, extra] + lines[1:]))
 
 
-def test_canonicalize_orders_events_and_samples():
-    trace = fixture_trace(FixtureId.ENV_1_0)
-    shuffler = random.Random(0)
-    events = list(trace.events)
-    samples = list(trace.samples)
-    descriptors = list(trace.descriptors)
-    shuffler.shuffle(events)
-    shuffler.shuffle(samples)
-    shuffler.shuffle(descriptors)
-    scrambled = Trace(trace.header, tuple(descriptors), tuple(events), tuple(samples))
-    assert canonicalize(scrambled) == canonicalize(trace)
-    assert canonicalize(trace) == trace
-    # a trace already in canonical order is not sorted again; one out of order
-    # in any single part is
-    assert canonicalize(trace) is trace
-    for part in (dict(descriptors=tuple(descriptors)), dict(events=tuple(events)), dict(samples=tuple(samples))):
-        assert canonicalize(dataclasses.replace(trace, **part)) == trace
-
-
 def test_decimal_quantities_render_in_shortest_exact_form():
     header = TraceHeader(env_from_coords(0, 0), horizon=1, num_datacenters=1)
     spec = ResourceSpec(Decimal("12.50"), Decimal("1E+1"), 3)
@@ -687,6 +668,28 @@ def test_generated_traces_round_trip_in_every_environment(elasticity, overbookin
         assert trace_to_bytes(read_trace(document)) == document
 
     round_trips()
+
+
+@st.composite
+def _permuted_parts(draw):
+    """A small generated trace and its descriptors, events and samples, each in an order of its own."""
+    trace = generate(draw(_small_configs(draw(st.integers(0, 3)), draw(st.integers(0, 3)))))
+    return trace, *(draw(st.permutations(part)) for part in (trace.descriptors, trace.events, trace.samples))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_permuted_parts())
+def test_a_trace_built_from_parts_in_any_order_is_the_canonical_trace(parts):
+    trace, descriptors, events, samples = parts
+    built = Trace(trace.header, descriptors, events, samples)
+    assert built == trace
+    assert repr(built) == repr(trace)
+    assert trace_to_bytes(built) == trace_to_bytes(trace)
+    for mode in (MODE_STRICT, MODE_PAPER):
+        for declared in enumerate_environments():
+            assert validate(built, mode, declared).violations == validate(trace, mode, declared).violations
+    for flag in (False, True):
+        assert classify(built, arrival_as_horizontal=flag) == classify(trace, arrival_as_horizontal=flag)
 
 
 def _mutated_bytes(document: bytes):
